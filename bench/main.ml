@@ -24,8 +24,7 @@ let () =
     print_endline "share";
     print_endline "obs";
     print_endline "storage";
-    print_endline "higher_order";
-    print_endline "skew"
+    print_endline "higher_order"
   end
   else begin
     let wanted name =
@@ -53,6 +52,5 @@ let () =
     if wanted "obs" then timed "obs" Bench_obs.run;
     if wanted "storage" then timed "storage" Bench_storage.run;
     if wanted "higher_order" then timed "higher_order" Bench_higher.run;
-    if wanted "skew" then timed "skew" Bench_skew.run;
     Printf.printf "\ntotal: %.1fs\n" (now () -. t0)
   end

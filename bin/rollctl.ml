@@ -212,17 +212,12 @@ let status_cmd txns json domains =
      [Service.create ~auxiliary:true]) the service derives and maintains
      π(σ(fact)) as an auxiliary — its row appears below with state
      "auxiliary", and the owner's probe counters and freshness lag land in
-     the "aux h/m" and "aux lag" columns. With the hotset enabled
-     (ROLL_HOTSET=1 or [Service.create ~hotset:true]) the service instead
-     also partitions each view's most-joined relation by key frequency:
-     heavy keys' partials appear below with state "heavy-partial", and the
-     owner's union-read counters and partition census land in the
-     "hot h/m" and "heavy/light" columns. *)
+     the "aux h/m" and "aux lag" columns. *)
   let fact = W.Star.fact_table star in
   let open Roll_relation in
   let bh = C.View.binder db [ (fact, "f"); (d0, "d") ] in
-  let hot_fact =
-    C.View.create db ~name:"hot_fact"
+  let filtered_fact =
+    C.View.create db ~name:"filtered_fact"
       ~sources:[ (fact, "f"); (d0, "d") ]
       ~predicate:
         [
@@ -236,7 +231,7 @@ let status_cmd txns json domains =
   let _ =
     C.Service.register service
       ~algorithm:(C.Controller.Rolling (C.Rolling.uniform 12))
-      hot_fact
+      filtered_fact
   in
   W.Star.mixed_txns star ~n:txns ~dim_fraction:0.05;
   C.Service.pause service "fact_copy";
@@ -252,9 +247,6 @@ let status_cmd txns json domains =
   | Error (e : C.Service.step_error) ->
       Printf.printf "permanent failure: view %s at %s after %d attempts\n"
         e.view e.point e.attempts);
-  (* A second drain so hotset promotions land: the registry migrates keys
-     at the start of the drain after the one that caught capture up. *)
-  ignore (C.Service.step_all service ~budget:50);
   let print_status header =
     if json then ()
     else
@@ -262,8 +254,8 @@ let status_cmd txns json domains =
       ~header:
         [
           "view"; "as of"; "hwm"; "staleness"; "sla"; "slack"; "delta rows";
-          "retry/abort/recover"; "memo h/m"; "aux h/m"; "aux lag"; "hot h/m";
-          "heavy/light"; "shared"; "state";
+          "retry/abort/recover"; "memo h/m"; "aux h/m"; "aux lag"; "shared";
+          "state";
         ]
       (List.map
          (fun (st : C.Service.status) ->
@@ -279,11 +271,8 @@ let status_cmd txns json domains =
              Printf.sprintf "%d/%d" st.memo_hits st.memo_misses;
              Printf.sprintf "%d/%d" st.aux_hits st.aux_misses;
              string_of_int st.aux_lag;
-             Printf.sprintf "%d/%d" st.hot_hits st.hot_misses;
-             Printf.sprintf "%d/%d" st.heavy_keys st.light_rows;
              string_of_int st.shared_builds;
              (if st.aux then "auxiliary"
-              else if st.hot then "heavy-partial"
               else if st.paused then "paused"
               else "running");
            ])
@@ -599,48 +588,7 @@ let explain_cmd txns =
            "plan for the same forward shape with auxiliary %s fresh (α = \
             mirror probe):"
            (C.Auxiliary.name ae));
-      print_string (C.Executor.explain (C.Controller.ctx ctl) fwd2));
-  (* The heavy-light split: a full-width unfiltered fact source is exactly
-     what the auxiliary registry skips, so a second view with no local
-     narrowing goes to the Hotset registry instead. Once keys are promoted
-     the Base term renders with an η prefix — the union of the light
-     residual and the per-heavy-key partial mirrors replaces the base
-     scan. *)
-  let wide =
-    C.View.create db2 ~name:"wide"
-      ~sources:[ ("fact", "f"); ("dim", "d") ]
-      ~predicate:[ Predicate.join (b "f" "k") (b "d" "k") ]
-      ~project:[ b "f" "k"; b "f" "v"; b "f" "tag"; b "d" "w" ]
-  in
-  let ctl2 =
-    C.Controller.create db2 capture wide
-      ~algorithm:(C.Controller.Rolling (C.Rolling.uniform 8))
-  in
-  let hreg = C.Hotset.create db2 capture in
-  ignore (C.Hotset.attach hreg ctl2);
-  Roll_capture.Capture.advance capture;
-  let promoted, _ = C.Hotset.rebalance hreg in
-  List.iter
-    (fun he -> ignore (C.Controller.refresh_latest (C.Hotset.controller he)))
-    promoted;
-  List.iter C.Hotset.sync promoted;
-  let now3 = Database.now db2 in
-  let fwd3 =
-    C.Pquery.replace (C.Pquery.all_base 2) 1
-      (C.Pquery.Win { lo = now3 - 5; hi = now3 })
-  in
-  print_endline "";
-  print_endline
-    (Printf.sprintf
-       "plan for view wide with %d heavy keys split out (η = light residual \
-        ∪ heavy partials):"
-       (List.length promoted));
-  print_string (C.Executor.explain (C.Controller.ctx ctl2) fwd3);
-  Printf.printf
-    "heavy/light census: %d heavy keys, %d light rows, %d sketch keys\n"
-    (C.Hotset.heavy_count hreg ~owner:"wide")
-    (C.Hotset.light_rows hreg ~owner:"wide")
-    (C.Hotset.sketch_keys hreg)
+      print_string (C.Executor.explain (C.Controller.ctx ctl) fwd2))
 
 let explain_term =
   let txns = Arg.(value & opt int 50 & info [ "txns"; "n" ] ~doc:"update transactions") in

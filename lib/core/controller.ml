@@ -310,19 +310,7 @@ let estimate_step_cost t ~relation ~lo ~hi =
             with
             | Some (a : Ctx.aux_source) ->
                 Roll_storage.Table.distinct_count a.Ctx.table
-            | None -> (
-                (* No auxiliary: a fresh heavy-light partition would read
-                   the union of its part mirrors instead. *)
-                match
-                  match t.ctx.Ctx.hot with
-                  | Some f -> f ~peek:true j
-                  | None -> None
-                with
-                | Some (h : Ctx.hot_source) ->
-                    List.fold_left
-                      (fun n p -> n + Roll_storage.Table.distinct_count p)
-                      0 h.Ctx.parts
-                | None -> Roll_storage.Table.distinct_count table)
+            | None -> Roll_storage.Table.distinct_count table
           in
           {
             Planner.name = table_name;

@@ -7,14 +7,6 @@ type aux_source = {
       (** column remap: mirror column [k] holds base column [cols.(k)] *)
 }
 
-type hot_source = {
-  parts : Table.t list;
-      (** the partition's mirrors — light residual plus one per heavy
-          key — whose union is read in place of the base *)
-  cols : int array;
-      (** column remap: mirror column [k] holds base column [cols.(k)] *)
-}
-
 type t = {
   db : Database.t;
   capture : Capture.t;
@@ -35,7 +27,6 @@ type t = {
   mutable frozen_exec : Roll_delta.Time.t option;
   mutable memo_owner : int;
   mutable aux : (peek:bool -> int -> aux_source option) option;
-  mutable hot : (peek:bool -> int -> hot_source option) option;
 }
 
 let create ?(geometry = false) ?obs ?t_initial db capture view =
@@ -70,5 +61,4 @@ let create ?(geometry = false) ?obs ?t_initial db capture view =
     frozen_exec = None;
     memo_owner = 0;
     aux = None;
-    hot = None;
   }

@@ -18,19 +18,6 @@ type aux_source = {
     closure; consuming it is only sound while the mirror equals the partial
     applied to the base table's current committed state. *)
 
-type hot_source = {
-  parts : Roll_storage.Table.t list;
-      (** the partition's mirrors — light residual plus one per heavy
-          key — whose union is read in place of the base *)
-  cols : int array;
-      (** column remap: mirror column [k] holds base column [cols.(k)] *)
-}
-(** A substitutable partitioned source: the {!Hotset} registry's
-    heavy-light decomposition of a relation. Light ⊎ heavy is the whole
-    partial by construction, so the executor reads the union of the parts
-    (η-prefixed in plans) in place of the base table; sound under the
-    same freshness contract as {!aux_source}. *)
-
 type t = {
   db : Roll_storage.Database.t;
   capture : Roll_capture.Capture.t;
@@ -103,12 +90,6 @@ type t = {
           the mirror whenever one exists, without the freshness test and
           without touching the aux hit/miss counters. [None] overall (the
           default) disables substitution. *)
-  mutable hot : (peek:bool -> int -> hot_source option) option;
-      (** Heavy-light partition substitution closure, installed by the
-          {!Hotset} registry; same contract and [peek] semantics as
-          {!aux}, consulted only where {!aux} yields nothing. [Some s]
-          means "read the union of [s.parts] instead — every part is
-          fresh". [None] overall (the default) disables partitioning. *)
 }
 
 val create :

@@ -40,15 +40,6 @@ val source_of_aux : name:string -> Roll_storage.Table.t -> source
     output show the substitution; the cache key stays the mirror's own
     table name, keeping cached builds distinct from the base relation's. *)
 
-val source_of_union : name:string -> Roll_storage.Table.t list -> source
-(** The union of a heavy-light partition's part mirrors, displayed as
-    [name] (conventionally "η" + the substituted base table). Scans and
-    index probes merge the per-part cursors (the parts are disjoint by
-    construction), cardinality is the sum of the parts', and only columns
-    indexed in every part are advertised for probing. The cache key
-    concatenates the parts' content-versioned keys.
-    @raise Invalid_argument on an empty part list. *)
-
 val source_of_relation : name:string -> Relation.t -> source
 (** Scan over an in-memory relation (the oracle's historical states). *)
 

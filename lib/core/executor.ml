@@ -28,7 +28,7 @@ let source_of_term (ctx : Ctx.t) i = function
         ~lo ~hi
 
 (* ------------------------------------------------------------------ *)
-(* Auxiliary-view and heavy-light substitution                         *)
+(* Auxiliary-view substitution                                        *)
 
 (* A Base term whose source position has a fresh auxiliary view (the
    [ctx.aux] closure, installed by the Auxiliary registry) reads the
@@ -39,25 +39,13 @@ let source_of_term (ctx : Ctx.t) i = function
    column reference is remapped through the mirror's column map. Because a
    fresh mirror equals the partial applied to the base table's current
    committed state, the rewritten query emits bit-identical rows to the
-   original, and stale auxiliaries simply resolve to the base path.
-
-   Where no auxiliary applies, the [ctx.hot] closure (the Hotset registry's
-   heavy-light partitioning) is consulted next: a fresh partition reads the
-   η-union of its part mirrors — light residual plus the per-heavy-key
-   partials, which partition the same π(σ(R_j)) shape — under exactly the
-   same column-remap and atom-dropping rewrite. *)
-type sub = Aux of Ctx.aux_source | Hot of Ctx.hot_source
-
-let sub_cols = function
-  | Aux (a : Ctx.aux_source) -> a.Ctx.cols
-  | Hot (h : Ctx.hot_source) -> h.Ctx.cols
-
+   original, and stale auxiliaries simply resolve to the base path. *)
 type resolved = {
   sources : Exec.source array;
   predicate : Roll_relation.Predicate.t;
   project : Roll_relation.Tuple.t array -> Roll_relation.Tuple.t;
   substituted : int;
-      (** how many Base terms read an auxiliary or a partition *)
+      (** how many Base terms read an auxiliary *)
 }
 
 let resolve (ctx : Ctx.t) (q : Pquery.t) =
@@ -70,29 +58,18 @@ let resolve (ctx : Ctx.t) (q : Pquery.t) =
       (fun i term ->
         match term with
         | Pquery.Win _ -> None
-        | Pquery.Base -> (
-            match
-              Option.bind ctx.aux (fun lookup -> lookup ~peek:false i)
-            with
-            | Some a -> Some (Aux a)
-            | None ->
-                Option.map
-                  (fun h -> Hot h)
-                  (Option.bind ctx.hot (fun lookup -> lookup ~peek:false i))))
+        | Pquery.Base ->
+            Option.bind ctx.aux (fun lookup -> lookup ~peek:false i))
       q
   in
   let sources =
     Array.mapi
       (fun i term ->
         match subs.(i) with
-        | Some (Aux a) ->
+        | Some (a : Ctx.aux_source) ->
             Exec.source_of_aux
               ~name:("\xce\xb1" ^ View.source_table view i)
               a.Ctx.table
-        | Some (Hot h) ->
-            Exec.source_of_union
-              ~name:("\xce\xb7" ^ View.source_table view i)
-              h.Ctx.parts
         | None -> source_of_term ctx i term)
       q
   in
@@ -107,8 +84,8 @@ let resolve (ctx : Ctx.t) (q : Pquery.t) =
     let remap_col (c : P.col) =
       match subs.(c.source) with
       | None -> c
-      | Some sub ->
-          let cols = sub_cols sub in
+      | Some (a : Ctx.aux_source) ->
+          let cols = a.Ctx.cols in
           let rec find k =
             if k >= Array.length cols then
               invalid_arg

@@ -28,7 +28,6 @@ type scored = {
   window : (string * Time.t * Time.t) option;
   readers : int;  (** clients waiting on this view's hwm when planned *)
   aux : bool;  (** the item maintains an auxiliary view *)
-  hot : bool;  (** the item maintains a heavy-key partial *)
 }
 
 type source = {
@@ -40,7 +39,6 @@ type source = {
   checkpoint_due : bool;
   gc_due : bool;
   aux : bool;
-  hot : bool;
 }
 
 type t = {
@@ -95,13 +93,6 @@ let reader_band = 1.0e5
    The band sits below the reader boost: a view with blocked readers is
    accumulating latency right now and still outranks aux freshening. *)
 let aux_band = 1.0e4
-
-(* Heavy-partial band: a heavy key's per-key partial is scheduled exactly
-   like an auxiliary view — freshen before in-SLA user work so the η-union
-   substitution actually hits, but never ahead of a user view already in
-   breach. Kept as its own constant (same magnitude) so the two knobs can
-   diverge without touching call sites. *)
-let hot_band = 1.0e4
 
 let create ?(policy = Slack) ?(cost_weight = 0.01) ?capture_batch db capture =
   (match capture_batch with
@@ -195,7 +186,7 @@ let propagate_items t ~now ~capture_hwm sources =
   let user_breach =
     List.exists
       (fun (src : source) ->
-        (not src.paused) && (not src.aux) && (not src.hot)
+        (not src.paused) && (not src.aux)
         && now - Controller.hwm src.controller > src.sla)
       sources
   in
@@ -226,8 +217,6 @@ let propagate_items t ~now ~capture_hwm sources =
                    in
                    if src.aux then
                      if user_breach then base +. aux_band else base -. aux_band
-                   else if src.hot then
-                     if user_breach then base +. hot_band else base -. hot_band
                    else if readers > 0 then base -. reader_band
                    else base
                in
@@ -250,7 +239,6 @@ let propagate_items t ~now ~capture_hwm sources =
                    window = Some (table, c.Controller.lo, c.Controller.hi);
                    readers;
                    aux = src.aux;
-                   hot = src.hot;
                  };
                ])
        sources)
@@ -280,7 +268,6 @@ let capture_item t =
         window = None;
         readers = 0;
         aux = false;
-        hot = false;
       };
     ]
 
@@ -320,7 +307,6 @@ let background_items t ~now sources =
                 window = None;
                 readers = 0;
                 aux = src.aux;
-                hot = src.hot;
               };
             ]
         in
@@ -336,7 +322,6 @@ let background_items t ~now sources =
             window = None;
             readers = 0;
             aux = src.aux;
-            hot = src.hot;
           }
         in
         let checkpoint =

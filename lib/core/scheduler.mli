@@ -66,7 +66,6 @@ type scored = {
       (** clients currently blocked waiting on this view's freshness (see
           {!set_read_demand}); 0 for non-propagate kinds *)
   aux : bool;  (** the item maintains an auxiliary view *)
-  hot : bool;  (** the item maintains a heavy-key partial *)
 }
 
 type source = {
@@ -89,12 +88,6 @@ type source = {
           substitution probes to hit), and one band {e above} the moment
           any unpaused user view is in breach — an optimization never
           outranks a violated SLA. The band sits below the reader boost. *)
-  hot : bool;
-      (** a {!Hotset} heavy-key partial: scored exactly like [aux] (its
-          own band constant, same magnitude) — freshen before in-SLA user
-          work so the η-union substitution hits, never ahead of a user
-          view in breach. Excluded, like [aux], from the breach test
-          itself. *)
 }
 
 type t

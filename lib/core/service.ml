@@ -18,10 +18,6 @@ type entry = {
       (** [Some] when this entry maintains an auxiliary view: the registry
           entry whose mirror must be synced after the controller's
           high-water mark advances *)
-  hot_of : Hotset.entry option;
-      (** [Some] when this entry maintains a heavy key's partial: the
-          hotset registry entry whose mirror must be synced after the
-          controller's high-water mark advances *)
 }
 
 type status = {
@@ -45,11 +41,6 @@ type status = {
   aux_lag : int;
       (** an auxiliary's mirror lag behind the clock; for a user view, the
           worst lag among its auxiliaries (0 when it has none) *)
-  hot : bool;  (** this entry is a heavy key's partial *)
-  hot_hits : int;  (** substitution reads served from fresh partitions *)
-  hot_misses : int;  (** partition consultations that fell back *)
-  heavy_keys : int;  (** currently-heavy keys across the view's partitions *)
-  light_rows : int;  (** rows in the view's light residual mirrors *)
   reads_served : int;
   reads_rejected : int;
   read_wait : float;
@@ -72,9 +63,6 @@ type t = {
   auxiliary : Auxiliary.t option;
       (** higher-order delta registry; [Some] iff auxiliary views are
           enabled for this service *)
-  hotset : Hotset.t option;
-      (** heavy-light partition registry; [Some] iff skew-aware
-          partitioning is enabled for this service *)
 }
 
 let env_domains () =
@@ -85,10 +73,9 @@ let env_domains () =
       | Some n when n >= 1 -> Some n
       | Some _ | None -> None)
 
-(* ROLL_SHARING / ROLL_AUX / ROLL_HOTSET: environment defaults for the
-   [sharing], [auxiliary] and [hotset] flags, so the whole test/bench
-   matrix can flip any feature on without threading parameters (explicit
-   arguments win). *)
+(* ROLL_SHARING / ROLL_AUX: environment defaults for the [sharing] and
+   [auxiliary] flags, so the whole test/bench matrix can flip either feature
+   on without threading parameters (explicit arguments win). *)
 let env_flag name =
   match Sys.getenv_opt name with
   | None -> false
@@ -97,16 +84,13 @@ let env_flag name =
       | "" | "0" | "false" | "off" | "no" -> false
       | _ -> true)
 
-let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary ?hotset
+let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary
     ?(default_sla = 100) ?(gc_threshold = max_int) ?obs ?domains db capture =
   let sharing =
     match sharing with Some s -> s | None -> env_flag "ROLL_SHARING"
   in
   let auxiliary =
     match auxiliary with Some a -> a | None -> env_flag "ROLL_AUX"
-  in
-  let hotset =
-    match hotset with Some h -> h | None -> env_flag "ROLL_HOTSET"
   in
   if default_sla <= 0 then invalid_arg "Service.create: default_sla";
   (match domains with
@@ -139,7 +123,6 @@ let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary ?hotset
     gc_threshold;
     entries = [];
     auxiliary = (if auxiliary then Some (Auxiliary.create db capture) else None);
-    hotset = (if hotset then Some (Hotset.create db capture) else None);
   }
 
 let scheduler t = t.scheduler
@@ -181,7 +164,7 @@ let enable_sharing t controller =
     Controller.set_window_alignment controller true
   end
 
-let add_entry ?aux_of ?hot_of t name controller =
+let add_entry ?aux_of t name controller =
   let e =
     {
       name;
@@ -191,7 +174,6 @@ let add_entry ?aux_of ?hot_of t name controller =
       checkpoint = None;
       last_checkpoint = Database.now t.db;
       aux_of;
-      hot_of;
     }
   in
   t.entries <- t.entries @ [ e ];
@@ -248,27 +230,6 @@ let attach_auxiliaries t ~recover owner_controller =
         (Auxiliary.attach ~durable ~recover ?obs:(obs_arg t) reg
            owner_controller)
 
-(* Same wiring for the heavy-light partition registry: each heavy key's
-   partial the registry hands back (shared across sibling owners via the
-   partial-signature dedupe) that is not already a service entry becomes an
-   ordinary entry, so heavy partials get scheduler items, waves, durable
-   frontiers and recovery from the same machinery as user views. *)
-let hot_entry_known t he =
-  List.exists
-    (fun (e : entry) -> String.equal e.name (Hotset.name he))
-    t.entries
-
-let attach_hotset t ~recover owner_controller =
-  match t.hotset with
-  | None -> ()
-  | Some reg ->
-      let durable = Controller.durable owner_controller in
-      List.iter
-        (fun he ->
-          if not (hot_entry_known t he) then
-            add_entry ~hot_of:he t (Hotset.name he) (Hotset.controller he))
-        (Hotset.attach ~durable ~recover ?obs:(obs_arg t) reg owner_controller)
-
 let register ?(durable = false) t ~algorithm view =
   let name = View.name view in
   if List.exists (fun (e : entry) -> String.equal e.name name) t.entries then
@@ -279,7 +240,6 @@ let register ?(durable = false) t ~algorithm view =
   enable_sharing t controller;
   add_entry t name controller;
   attach_auxiliaries t ~recover:false controller;
-  attach_hotset t ~recover:false controller;
   controller
 
 let register_recovered ?checkpoint t ~algorithm view =
@@ -295,12 +255,9 @@ let register_recovered ?checkpoint t ~algorithm view =
   enable_sharing t controller;
   add_entry t name controller;
   attach_auxiliaries t ~recover:true controller;
-  attach_hotset t ~recover:true controller;
   controller
 
 let auxiliary t = t.auxiliary
-
-let hotset t = t.hotset
 
 let find t name =
   match List.find_opt (fun (e : entry) -> String.equal e.name name) t.entries with
@@ -367,18 +324,6 @@ let status t =
         aux_hits = Stats.aux_hits stats;
         aux_misses = Stats.aux_misses stats;
         aux_lag = aux_lag_of t e;
-        hot = Option.is_some e.hot_of;
-        hot_hits = Stats.hot_hits stats;
-        hot_misses = Stats.hot_misses stats;
-        heavy_keys =
-          (match t.hotset with
-          | Some reg when e.hot_of = None ->
-              Hotset.heavy_count reg ~owner:e.name
-          | _ -> 0);
-        light_rows =
-          (match t.hotset with
-          | Some reg when e.hot_of = None -> Hotset.light_rows reg ~owner:e.name
-          | _ -> 0);
         reads_served = Stats.reads_served stats;
         reads_rejected = Stats.reads_rejected stats;
         read_wait = Stats.read_wait stats;
@@ -399,13 +344,9 @@ let unregister t name =
     invalid_arg
       ("Service.unregister: " ^ name
      ^ " is an auxiliary view; it is retired when its last owner goes");
-  if Option.is_some e.hot_of then
-    invalid_arg
-      ("Service.unregister: " ^ name
-     ^ " is a heavy-key partial; it is retired when its last owner goes");
   t.entries <-
     List.filter (fun (x : entry) -> not (String.equal x.name name)) t.entries;
-  (match t.auxiliary with
+  match t.auxiliary with
   | None -> ()
   | Some reg ->
       let orphans = Auxiliary.release reg ~owner:name in
@@ -415,18 +356,6 @@ let unregister t name =
             not
               (List.exists
                  (fun ae -> String.equal (Auxiliary.name ae) x.name)
-                 orphans))
-          t.entries);
-  match t.hotset with
-  | None -> ()
-  | Some reg ->
-      let orphans = Hotset.release reg ~owner:name in
-      t.entries <-
-        List.filter
-          (fun (x : entry) ->
-            not
-              (List.exists
-                 (fun he -> String.equal (Hotset.name he) x.name)
                  orphans))
           t.entries
 
@@ -458,7 +387,6 @@ let sources ?(skip = fun _ -> false) ?(bg_done = fun _ _ -> false) t =
         gc_due =
           applied_rows e >= t.gc_threshold && not (bg_done "gc" e.name);
         aux = Option.is_some e.aux_of;
-        hot = Option.is_some e.hot_of;
       })
     t.entries
 
@@ -495,8 +423,7 @@ let reclaim_wal t =
    high-water mark: every new permanently-committed view-delta row folds
    into the probe mirror right after the step that produced it. *)
 let sync_aux (e : entry) =
-  (match e.aux_of with Some ae -> Auxiliary.sync ae | None -> ());
-  match e.hot_of with Some he -> Hotset.sync he | None -> ()
+  match e.aux_of with Some ae -> Auxiliary.sync ae | None -> ()
 
 let exec_item t ~skipped ~bg_done ~step ~capture_run (scored : Scheduler.scored)
     =
@@ -539,17 +466,24 @@ let exec_item t ~skipped ~bg_done ~step ~capture_run (scored : Scheduler.scored)
          reclaimed. Drop the memo rather than reason about overlap. *)
       if t.sharing then Memo.clear t.memo;
       let e = find t view in
-      (* An auxiliary (or heavy partial) syncs its mirror before pruning:
-         the mirror reads the very delta window the prune reclaims. *)
-      (match (e.aux_of, e.hot_of) with
-      | Some ae, _ -> ignore (Auxiliary.gc ae)
-      | None, Some he -> ignore (Hotset.gc he)
-      | None, None -> ignore (Controller.gc e.controller));
+      (* An auxiliary syncs its mirror before pruning: the mirror reads the
+         very delta window the prune reclaims. *)
+      (match e.aux_of with
+      | Some ae -> ignore (Auxiliary.gc ae)
+      | None -> ignore (Controller.gc e.controller));
       ignore (reclaim_wal t);
       Ok true
 
 let advance_capture t =
   Capture.advance ?max_records:(Scheduler.capture_batch t.scheduler) t.capture
+
+let step_error view (f : Roll_util.Retry.failure) =
+  {
+    view;
+    point = f.Roll_util.Retry.point;
+    hit = f.Roll_util.Retry.hit;
+    attempts = f.Roll_util.Retry.attempts;
+  }
 
 (* Capture advances under the retry policy: the capture fault point fires
    before any delta mutation, so a failed advance left nothing behind and
@@ -563,15 +497,9 @@ let reliable_capture t ~retry ~sleep () =
       (fun () -> advance_capture t)
   with
   | Ok () -> Ok ()
-  | Error (f : Roll_util.Retry.failure) ->
+  | Error f ->
       Stats.incr_aborts sched_stats;
-      Error
-        {
-          view = "(capture)";
-          point = f.Roll_util.Retry.point;
-          hit = f.Roll_util.Retry.hit;
-          attempts = f.Roll_util.Retry.attempts;
-        }
+      Error (step_error "(capture)" f)
 
 (* Rows a propagate item appended to its view delta, measured around the
    execution (memo replays count too — they append real rows). *)
@@ -585,36 +513,48 @@ let out_length t (item : Scheduler.item) =
       | None -> 0)
   | _ -> 0
 
-(* Drain-start partition upkeep: pump the sketches and light residuals
-   forward, then let the registry migrate keys whose class flipped. Each
-   promoted key's partial becomes a service entry (scheduler items, waves,
-   recovery — ordinary machinery); each demoted key's entry leaves with its
-   registry entry. Running this once per drain keeps class churn off the
-   per-item hot path and gives migrations the quiet point they need: the
-   registry defers migration while capture is pending, so promotions land
-   at the start of the drain {e after} the one that caught the log up —
-   and that drain then propagates every view past the promote-marker
-   commits, so a caught-up service ends its drain caught up. *)
-let rebalance_hotset t =
-  match t.hotset with
-  | None -> ()
-  | Some reg ->
-      Hotset.pump reg;
-      let promoted, demoted = Hotset.rebalance reg in
-      List.iter
-        (fun he ->
-          if not (hot_entry_known t he) then
-            add_entry ~hot_of:he t (Hotset.name he) (Hotset.controller he))
-        promoted;
-      if demoted <> [] then
-        t.entries <-
-          List.filter
-            (fun (x : entry) ->
-              not
-                (List.exists
-                   (fun he -> String.equal (Hotset.name he) x.name)
-                   demoted))
-            t.entries
+(* Per-item observations shared by the serial and wave drains: the
+   item-latency and window-width histograms, plus rows emitted for
+   propagate items. *)
+let observe_item t (s : Scheduler.scored) ~wall ~emitted =
+  let module M = Roll_obs.Metrics in
+  let m = Roll_obs.Obs.metrics t.obs in
+  M.observe
+    (M.histogram m ~help:"Wall-clock seconds per executed work item"
+       ~labels:[ ("kind", Scheduler.kind_name s.Scheduler.item) ]
+       "roll_item_latency_seconds")
+    wall;
+  (match s.Scheduler.window with
+  | Some (_, lo, hi) ->
+      M.observe
+        (M.histogram m
+           ~help:"Delta-window width of executed propagate steps, in commits"
+           "roll_step_window_width")
+        (float_of_int (hi - lo))
+  | None -> ());
+  match s.Scheduler.item with
+  | Scheduler.Propagate_step _ ->
+      M.observe
+        (M.histogram m ~help:"View-delta rows emitted per propagate step"
+           "roll_step_rows_emitted")
+        (float_of_int (max 0 emitted))
+  | _ -> ()
+
+(* Attributes of an item's ["sched.item"] span. Read on the drain domain:
+   the queue wait comes from scheduler state the workers must not touch. *)
+let item_attrs t (s : Scheduler.scored) =
+  let module T = Roll_obs.Trace in
+  [
+    ("kind", T.Str (Scheduler.kind_name s.Scheduler.item));
+    ("item", T.Str (Format.asprintf "%a" Scheduler.pp_item s.Scheduler.item));
+    ("score", T.Float s.Scheduler.score);
+    ("slack", T.Int s.Scheduler.slack);
+    ("est_rows", T.Int s.Scheduler.est_rows);
+  ]
+  @
+  match Scheduler.queue_wait t.scheduler s.Scheduler.item with
+  | Some w -> [ ("queue_wait", T.Float w) ]
+  | None -> []
 
 let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
     ~apply_sleep =
@@ -622,7 +562,6 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
   let bg_done = Hashtbl.create 4 in
   (* The tables are re-read through [sources] on every take. *)
   Scheduler.begin_drain t.scheduler;
-  rebalance_hotset t;
   (* The delta memo is drain-scoped: entries from a previous drain would
      still be sound (their windows are immutable), clearing just bounds
      memory to one drain's worth of shared work. *)
@@ -638,7 +577,6 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
      test — which also makes the scheduler's wall counters deterministic. *)
   let now () = Roll_obs.Obs.now t.obs in
   let exec_one (scored : Scheduler.scored) =
-    let kind = Scheduler.kind_name scored.Scheduler.item in
     let emitted_before =
       if enabled then out_length t scored.Scheduler.item else 0
     in
@@ -647,31 +585,9 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
       let result = exec_item t ~skipped ~bg_done ~step ~capture_run scored in
       let wall = now () -. t0 in
       Scheduler.note_ran t.scheduler scored.Scheduler.item ~wall;
-      if enabled then begin
-        let m = Roll_obs.Obs.metrics t.obs in
-        Roll_obs.Metrics.observe
-          (Roll_obs.Metrics.histogram m
-             ~help:"Wall-clock seconds per executed work item"
-             ~labels:[ ("kind", kind) ]
-             "roll_item_latency_seconds")
-          wall;
-        (match scored.Scheduler.window with
-        | Some (_, lo, hi) ->
-            Roll_obs.Metrics.observe
-              (Roll_obs.Metrics.histogram m
-                 ~help:
-                   "Delta-window width of executed propagate steps, in commits"
-                 "roll_step_window_width")
-              (float_of_int (hi - lo))
-        | None -> ());
-        if String.equal kind "propagate" then
-          Roll_obs.Metrics.observe
-            (Roll_obs.Metrics.histogram m
-               ~help:"View-delta rows emitted per propagate step"
-               "roll_step_rows_emitted")
-            (float_of_int
-               (max 0 (out_length t scored.Scheduler.item - emitted_before)))
-      end;
+      if enabled then
+        observe_item t scored ~wall
+          ~emitted:(out_length t scored.Scheduler.item - emitted_before);
       (match result with
       | Error (f : step_error) ->
           if tracing then
@@ -681,26 +597,9 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
       | Ok _ -> ());
       result
     in
-    if tracing then begin
-      let wait = Scheduler.queue_wait t.scheduler scored.Scheduler.item in
-      let attrs =
-        [
-          ("kind", Roll_obs.Trace.Str kind);
-          ( "item",
-            Roll_obs.Trace.Str
-              (Format.asprintf "%a" Scheduler.pp_item scored.Scheduler.item) );
-          ("score", Roll_obs.Trace.Float scored.Scheduler.score);
-          ("slack", Roll_obs.Trace.Int scored.Scheduler.slack);
-          ("est_rows", Roll_obs.Trace.Int scored.Scheduler.est_rows);
-        ]
-        @
-        match wait with
-        | Some w -> [ ("queue_wait", Roll_obs.Trace.Float w) ]
-        | None -> []
-      in
-      Roll_obs.Trace.with_span (Roll_obs.Obs.trace t.obs) ~attrs "sched.item"
-        run
-    end
+    if tracing then
+      Roll_obs.Trace.with_span (Roll_obs.Obs.trace t.obs)
+        ~attrs:(item_attrs t scored) "sched.item" run
     else run ()
   in
   (* ---------------- wave execution (worker-domain pool) ------------- *)
@@ -747,16 +646,16 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
           ctx.Ctx.memo_owner <- k;
           let saved_obs = ctx.Ctx.obs in
           if tracing then ctx.Ctx.obs <- Roll_obs.Obs.fork saved_obs;
-          let wait = Scheduler.queue_wait t.scheduler s.Scheduler.item in
+          let attrs = if tracing then item_attrs t s else [] in
           (s, view, relation, ctl, ctx, lo, hi, out_mark, memo_mark, saved_obs,
-           wait))
+           attrs))
         items
     in
     let sleeps = Array.make n 0. in
     let walls = Array.make n 0. in
     let jobs =
       Array.map
-        (fun (s, _, relation, ctl, ctx, _, hi, _, _, _, wait) (_slot : int) ->
+        (fun (_, _, relation, ctl, ctx, _, hi, _, _, _, attrs) (_slot : int) ->
           let obs = ctx.Ctx.obs in
           let run () =
             let t0 = Roll_obs.Obs.now obs in
@@ -778,26 +677,9 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
             | Ok _ -> ());
             result
           in
-          if Roll_obs.Obs.tracing obs then begin
-            let attrs =
-              [
-                ("kind", Roll_obs.Trace.Str "propagate");
-                ( "item",
-                  Roll_obs.Trace.Str
-                    (Format.asprintf "%a" Scheduler.pp_item s.Scheduler.item)
-                );
-                ("score", Roll_obs.Trace.Float s.Scheduler.score);
-                ("slack", Roll_obs.Trace.Int s.Scheduler.slack);
-                ("est_rows", Roll_obs.Trace.Int s.Scheduler.est_rows);
-              ]
-              @
-              match wait with
-              | Some w -> [ ("queue_wait", Roll_obs.Trace.Float w) ]
-              | None -> []
-            in
+          if Roll_obs.Obs.tracing obs then
             Roll_obs.Trace.with_span (Roll_obs.Obs.trace obs) ~attrs
               "sched.item" run
-          end
           else run ())
         prep
     in
@@ -827,30 +709,8 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
       let _, _, relation, ctl, _, lo, _, out_mark, memo_mark, _, _ = prep.(k) in
       Controller.undo_window ctl ~relation ~lo ~out_mark ~memo_mark ~owner:k
     done;
-    let commit_metrics (s : Scheduler.scored) ~wall ~emitted =
-      if enabled then begin
-        let m = Roll_obs.Obs.metrics t.obs in
-        Roll_obs.Metrics.observe
-          (Roll_obs.Metrics.histogram m
-             ~help:"Wall-clock seconds per executed work item"
-             ~labels:[ ("kind", "propagate") ]
-             "roll_item_latency_seconds")
-          wall;
-        (match s.Scheduler.window with
-        | Some (_, lo, hi) ->
-            Roll_obs.Metrics.observe
-              (Roll_obs.Metrics.histogram m
-                 ~help:
-                   "Delta-window width of executed propagate steps, in commits"
-                 "roll_step_window_width")
-              (float_of_int (hi - lo))
-        | None -> ());
-        Roll_obs.Metrics.observe
-          (Roll_obs.Metrics.histogram m
-             ~help:"View-delta rows emitted per propagate step"
-             "roll_step_rows_emitted")
-          (float_of_int (max 0 emitted))
-      end
+    let commit_metrics s ~wall ~emitted =
+      if enabled then observe_item t s ~wall ~emitted
     in
     for k = 0 to min fe (n - 1) do
       let s, view, _, ctl, ctx, _, _, out_mark, _, _, _ = prep.(k) in
@@ -957,82 +817,48 @@ let plain_capture t () =
   advance_capture t;
   Ok ()
 
-let plain_wave_step ctl ~relation ~hi ~frozen ~sleep:_ =
-  Ok (Controller.step_window ctl ~relation ~hi ~frozen)
+let plain_drain ~full t ~budget =
+  drain_items ~full t ~budget
+    ~step:(fun ctl -> Ok (Controller.propagate_step ctl))
+    ~capture_run:(plain_capture t)
+    ~wave_step:(fun ctl ~relation ~hi ~frozen ~sleep:_ ->
+      Ok (Controller.step_window ctl ~relation ~hi ~frozen))
+    ~apply_sleep:(fun d -> Database.advance_wall t.db d)
 
-let step_all t ~budget =
-  match
-    drain_items ~full:false t ~budget
-      ~step:(fun ctl -> Ok (Controller.propagate_step ctl))
-      ~capture_run:(plain_capture t) ~wave_step:plain_wave_step
-      ~apply_sleep:(fun d -> Database.advance_wall t.db d)
-  with
-  | Ok steps -> steps
-  | Error (_ : step_error) -> assert false
-
-let try_step_all ?sleep t ~budget ~retry =
+(* The retrying drain behind {!try_step_all} and [maintain ~retry]: steps,
+   capture advances and wave steps all run under [retry], and a permanent
+   failure surfaces as the failing view's [step_error]. *)
+let reliable_drain ~full ?sleep t ~budget ~retry =
   let sleep =
     match sleep with
     | Some f -> f
     | None -> fun d -> Database.advance_wall t.db d
   in
-  let to_error view (f : Roll_util.Retry.failure) =
-    {
-      view;
-      point = f.Roll_util.Retry.point;
-      hit = f.Roll_util.Retry.hit;
-      attempts = f.Roll_util.Retry.attempts;
-    }
+  let fail ctl =
+    Result.map_error (step_error (View.name (Controller.view ctl)))
   in
-  drain_items ~full:false t ~budget
+  drain_items ~full t ~budget
     ~step:(fun ctl ->
-      match Controller.propagate_step_reliable ctl ~retry ~sleep with
-      | Ok advanced -> Ok advanced
-      | Error f -> Error (to_error (View.name (Controller.view ctl)) f))
+      fail ctl (Controller.propagate_step_reliable ctl ~retry ~sleep))
     ~capture_run:(reliable_capture t ~retry ~sleep)
     ~wave_step:(fun ctl ~relation ~hi ~frozen ~sleep ->
-      match
-        Controller.step_window_reliable ctl ~relation ~hi ~frozen ~retry ~sleep
-      with
-      | Ok r -> Ok r
-      | Error f -> Error (to_error (View.name (Controller.view ctl)) f))
+      fail ctl
+        (Controller.step_window_reliable ctl ~relation ~hi ~frozen ~retry
+           ~sleep))
     ~apply_sleep:sleep
+
+let step_all t ~budget =
+  match plain_drain ~full:false t ~budget with
+  | Ok steps -> steps
+  | Error (_ : step_error) -> assert false
+
+let try_step_all ?sleep t ~budget ~retry =
+  reliable_drain ~full:false ?sleep t ~budget ~retry
 
 let maintain ?retry ?sleep t ~budget =
   match retry with
-  | None ->
-      drain_items ~full:true t ~budget
-        ~step:(fun ctl -> Ok (Controller.propagate_step ctl))
-        ~capture_run:(plain_capture t) ~wave_step:plain_wave_step
-        ~apply_sleep:(fun d -> Database.advance_wall t.db d)
-  | Some retry ->
-      let sleep =
-        match sleep with
-        | Some f -> f
-        | None -> fun d -> Database.advance_wall t.db d
-      in
-      let to_error view (f : Roll_util.Retry.failure) =
-        {
-          view;
-          point = f.Roll_util.Retry.point;
-          hit = f.Roll_util.Retry.hit;
-          attempts = f.Roll_util.Retry.attempts;
-        }
-      in
-      drain_items ~full:true t ~budget
-        ~step:(fun ctl ->
-          match Controller.propagate_step_reliable ctl ~retry ~sleep with
-          | Ok advanced -> Ok advanced
-          | Error f -> Error (to_error (View.name (Controller.view ctl)) f))
-        ~capture_run:(reliable_capture t ~retry ~sleep)
-        ~wave_step:(fun ctl ~relation ~hi ~frozen ~sleep ->
-          match
-            Controller.step_window_reliable ctl ~relation ~hi ~frozen ~retry
-              ~sleep
-          with
-          | Ok r -> Ok r
-          | Error f -> Error (to_error (View.name (Controller.view ctl)) f))
-        ~apply_sleep:sleep
+  | None -> plain_drain ~full:true t ~budget
+  | Some retry -> reliable_drain ~full:true ?sleep t ~budget ~retry
 
 let refresh_all t =
   List.iter
@@ -1049,10 +875,9 @@ let gc_all t =
       (fun acc (e : entry) ->
         acc
         +
-        match (e.aux_of, e.hot_of) with
-        | Some ae, _ -> Auxiliary.gc ae
-        | None, Some he -> Hotset.gc he
-        | None, None -> Controller.gc e.controller)
+        match e.aux_of with
+        | Some ae -> Auxiliary.gc ae
+        | None -> Controller.gc e.controller)
       0 t.entries
   in
   ignore (reclaim_wal t);
@@ -1070,12 +895,11 @@ let status_json t =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"view\":%s,\"as_of\":%d,\"hwm\":%d,\"staleness\":%d,\"sla\":%d,\"slack\":%d,\"delta_rows\":%d,\"paused\":%b,\"retries\":%d,\"aborts\":%d,\"recoveries\":%d,\"memo_hits\":%d,\"memo_misses\":%d,\"shared_builds\":%d,\"aux\":%b,\"aux_hits\":%d,\"aux_misses\":%d,\"aux_lag\":%d,\"hot\":%b,\"hot_hits\":%d,\"hot_misses\":%d,\"heavy_keys\":%d,\"light_rows\":%d,\"reads_served\":%d,\"reads_rejected\":%d,\"read_wait\":%s}"
+           "{\"view\":%s,\"as_of\":%d,\"hwm\":%d,\"staleness\":%d,\"sla\":%d,\"slack\":%d,\"delta_rows\":%d,\"paused\":%b,\"retries\":%d,\"aborts\":%d,\"recoveries\":%d,\"memo_hits\":%d,\"memo_misses\":%d,\"shared_builds\":%d,\"aux\":%b,\"aux_hits\":%d,\"aux_misses\":%d,\"aux_lag\":%d,\"reads_served\":%d,\"reads_rejected\":%d,\"read_wait\":%s}"
            (E.json_string s.name) s.as_of s.hwm s.staleness s.sla s.slack
            s.delta_rows s.paused s.retries s.aborts s.recoveries s.memo_hits
            s.memo_misses s.shared_builds s.aux s.aux_hits s.aux_misses
-           s.aux_lag s.hot s.hot_hits s.hot_misses s.heavy_keys s.light_rows
-           s.reads_served s.reads_rejected
+           s.aux_lag s.reads_served s.reads_rejected
            (E.json_float s.read_wait)))
     (status t);
   Buffer.add_char buf ']';
@@ -1136,15 +960,14 @@ let schedule_json ?full t =
       in
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"item\":%s,\"kind\":%s,\"score\":%s,\"staleness\":%d,\"slack\":%d,\"est_rows\":%d,\"est_cost\":%s,\"deferred\":%b,\"readers\":%d,\"aux\":%b,\"hot\":%b,\"window\":%s}"
+           "{\"item\":%s,\"kind\":%s,\"score\":%s,\"staleness\":%d,\"slack\":%d,\"est_rows\":%d,\"est_cost\":%s,\"deferred\":%b,\"readers\":%d,\"aux\":%b,\"window\":%s}"
            (E.json_string
               (Format.asprintf "%a" Scheduler.pp_item s.Scheduler.item))
            (E.json_string (Scheduler.kind_name s.Scheduler.item))
            (E.json_float s.Scheduler.score)
            s.Scheduler.staleness s.Scheduler.slack s.Scheduler.est_rows
            (E.json_float s.Scheduler.est_cost)
-           s.Scheduler.deferred s.Scheduler.readers s.Scheduler.aux
-           s.Scheduler.hot window))
+           s.Scheduler.deferred s.Scheduler.readers s.Scheduler.aux window))
     (schedule ?full t);
   Buffer.add_char buf ']';
   Buffer.contents buf

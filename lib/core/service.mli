@@ -51,19 +51,6 @@ type status = {
       (** for an auxiliary: how many commits its probe mirror trails the
           database clock; for a user view: the worst lag among the
           auxiliaries its probes depend on (0 when it has none) *)
-  hot : bool;  (** this entry is a heavy key's partial, not a user view *)
-  hot_hits : int;
-      (** base-relation reads this view served from a fresh heavy-light
-          partition union (always 0 without the hotset) *)
-  hot_misses : int;
-      (** partition consultations that found a part lagging and fell back
-          to the base table *)
-  heavy_keys : int;
-      (** for a user view: currently-heavy keys across its partitioned
-          relations; 0 for auxiliary and heavy-partial entries *)
-  light_rows : int;
-      (** for a user view: rows held by its light residual mirrors; 0 for
-          auxiliary and heavy-partial entries *)
   reads_served : int;  (** reads served by a [rolld] front end *)
   reads_rejected : int;  (** reads rejected by admission control *)
   read_wait : float;
@@ -85,7 +72,6 @@ val create :
   ?capture_batch:int ->
   ?sharing:bool ->
   ?auxiliary:bool ->
-  ?hotset:bool ->
   ?default_sla:int ->
   ?gc_threshold:int ->
   ?obs:Roll_obs.Obs.t ->
@@ -121,20 +107,6 @@ val create :
     auxiliary mirror instead of scanning the base table, falling back
     transparently whenever the mirror lags. Like sharing, auxiliaries
     change which physical reads happen — never the maintained contents.
-
-    [hotset] (default: the [ROLL_HOTSET] environment flag, off when unset)
-    turns on skew-aware heavy-light partitioning: registering a view also
-    derives a {!Hotset} partition group for its most-joined source
-    relation — a frequency sketch fed from the capture stream, one lazy
-    light residual mirror, and an eagerly-maintained durable partial per
-    heavy key, registered as ordinary service entries and scheduled one
-    band below user-view SLAs — and installs the substitution closure so
-    the view's propagation queries read the η-union of the fresh parts
-    instead of scanning the base relation, falling back transparently
-    whenever any part lags. Keys migrate between classes at drain
-    boundaries through exact, crash-safe handoffs. Like sharing and
-    auxiliaries, the hotset changes which physical reads happen — never
-    the maintained contents.
 
     [obs] (default disabled) is the Rollscope observability handle for the
     whole service: it is installed on the database, the capture process,
@@ -188,21 +160,16 @@ val register_recovered :
 
 val unregister : t -> string -> unit
 (** Remove a user view from the service and release its claim on its
-    auxiliaries and partition groups; auxiliaries and heavy partials left
-    with no owning view are retired with it (their entries leave the
-    service, so no further maintenance is planned for them). Durable state
-    is left in place — re-registering recovers it.
+    auxiliaries; auxiliaries left with no owning view are retired with it
+    (their entries leave the service, so no further maintenance is planned
+    for them). Durable state is left in place — re-registering recovers it.
     @raise Not_found when no such view is registered
-    @raise Invalid_argument when [name] is an auxiliary view or a heavy
-    partial (those are retired automatically when their last owner goes). *)
+    @raise Invalid_argument when [name] is an auxiliary view (those are
+    retired automatically when their last owner goes). *)
 
 val auxiliary : t -> Auxiliary.t option
 (** The higher-order delta registry, when the service was created with
     auxiliaries enabled. *)
-
-val hotset : t -> Hotset.t option
-(** The heavy-light partition registry, when the service was created with
-    the hotset enabled. *)
 
 val controller : t -> string -> Controller.t
 (** @raise Not_found *)

@@ -44,8 +44,6 @@ type t = {
   shared_builds : int Atomic.t;
   aux_hits : int Atomic.t;
   aux_misses : int Atomic.t;
-  hot_hits : int Atomic.t;
-  hot_misses : int Atomic.t;
   reads_served : int Atomic.t;
   reads_rejected : int Atomic.t;
   mutable read_wait : float;
@@ -74,8 +72,6 @@ let create () =
     shared_builds = Atomic.make 0;
     aux_hits = Atomic.make 0;
     aux_misses = Atomic.make 0;
-    hot_hits = Atomic.make 0;
-    hot_misses = Atomic.make 0;
     reads_served = Atomic.make 0;
     reads_rejected = Atomic.make 0;
     read_wait = 0.;
@@ -122,10 +118,6 @@ let aux_hits t = Atomic.get t.aux_hits
 
 let aux_misses t = Atomic.get t.aux_misses
 
-let hot_hits t = Atomic.get t.hot_hits
-
-let hot_misses t = Atomic.get t.hot_misses
-
 let reads_served t = Atomic.get t.reads_served
 
 let reads_rejected t = Atomic.get t.reads_rejected
@@ -145,10 +137,6 @@ let add_shared_builds t n = ignore (Atomic.fetch_and_add t.shared_builds n)
 let incr_aux_hits t = Atomic.incr t.aux_hits
 
 let incr_aux_misses t = Atomic.incr t.aux_misses
-
-let incr_hot_hits t = Atomic.incr t.hot_hits
-
-let incr_hot_misses t = Atomic.incr t.hot_misses
 
 let incr_retries t = Atomic.incr t.retries
 
@@ -239,8 +227,6 @@ let reset t =
   Atomic.set t.shared_builds 0;
   Atomic.set t.aux_hits 0;
   Atomic.set t.aux_misses 0;
-  Atomic.set t.hot_hits 0;
-  Atomic.set t.hot_misses 0;
   Atomic.set t.reads_served 0;
   Atomic.set t.reads_rejected 0;
   locked t (fun () ->
@@ -306,12 +292,6 @@ let register ?(labels = []) t registry =
   counter "roll_aux_misses_total"
     ~help:"Auxiliary consultations that fell back to the base relation"
     (fun () -> float_of_int (aux_misses t));
-  counter "roll_hot_hits_total"
-    ~help:"Base-relation reads served by a fresh heavy-light partition union"
-    (fun () -> float_of_int (hot_hits t));
-  counter "roll_hot_misses_total"
-    ~help:"Partition consultations that fell back to the base relation"
-    (fun () -> float_of_int (hot_misses t));
   counter "roll_reads_served_total"
     ~help:"Point-in-time and freshest-available reads served" (fun () ->
       float_of_int (reads_served t));
@@ -330,11 +310,6 @@ let register ?(labels = []) t registry =
     (fun () ->
       let total = aux_hits t + aux_misses t in
       if total = 0 then 0. else float_of_int (aux_hits t) /. float_of_int total);
-  gauge "roll_hot_hit_ratio"
-    ~help:"Partition hits over partition consultations (0 when unused)"
-    (fun () ->
-      let total = hot_hits t + hot_misses t in
-      if total = 0 then 0. else float_of_int (hot_hits t) /. float_of_int total);
   let per_resource ?help name read =
     M.register_collector registry ?help ~kind:M.Counter name (fun () ->
         resource_profile t

@@ -98,14 +98,6 @@ val aux_misses : t -> int
 (** Auxiliary consultations that found the auxiliary lagging behind the
     base table and transparently fell back to the base-relation scan. *)
 
-val hot_hits : t -> int
-(** Base-relation reads of this view's propagation queries that were
-    served by the union of a fresh heavy-light partition's mirrors. *)
-
-val hot_misses : t -> int
-(** Partition consultations that found a part lagging behind the base
-    table and transparently fell back to the base-relation scan. *)
-
 val reads_served : t -> int
 (** Point-in-time and freshest-available reads served for this view. *)
 
@@ -132,10 +124,6 @@ val add_shared_builds : t -> int -> unit
 val incr_aux_hits : t -> unit
 
 val incr_aux_misses : t -> unit
-
-val incr_hot_hits : t -> unit
-
-val incr_hot_misses : t -> unit
 
 val incr_retries : t -> unit
 

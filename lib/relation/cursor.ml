@@ -61,27 +61,6 @@ let project f c = map (fun r -> { r with tuple = f r.tuple }) c
 
 let project_columns idxs c = project (fun t -> Tuple.project t idxs) c
 
-let merge cursors =
-  let remaining = ref cursors in
-  let rec pull () =
-    match !remaining with
-    | [] -> None
-    | c :: rest -> (
-        match c.next_fn () with
-        | Some _ as r -> r
-        | None ->
-            remaining := rest;
-            pull ())
-  in
-  {
-    next_fn = pull;
-    rewind_fn =
-      (fun () ->
-        List.iter (fun c -> c.rewind_fn ()) cursors;
-        remaining := cursors);
-    close_fn = (fun () -> List.iter (fun c -> c.close_fn ()) cursors);
-  }
-
 let counted hook c =
   {
     c with

@@ -62,10 +62,6 @@ val project_columns : int list -> t -> t
 
 val map : (row -> row) -> t -> t
 
-val merge : t list -> t
-(** Sequential merge (concatenation) of several cursors into one stream;
-    rewinding rewinds every input. *)
-
 val counted : (int -> unit) -> t -> t
 (** [counted hook c] invokes [hook 1] for every row pulled through — the
     instrumentation tap the executor uses for per-resource read counts. *)

@@ -40,7 +40,7 @@ module Metrics = Roll_obs.Metrics
 
 type ticket = {
   request : Protocol.request;
-  submitted : float;  (** wall clock ({!Unix.gettimeofday}) at submit *)
+  submitted : float;  (** the service's obs clock at submit *)
   t_mutex : Mutex.t;
   t_cond : Condition.t;
   mutable result : Protocol.response option;
@@ -65,6 +65,20 @@ type t = {
   mutable snapshot_hits : int;
 }
 
+let demand t view =
+  Mutex.protect t.mutex (fun () ->
+      List.length
+        (List.filter
+           (fun ticket ->
+             match ticket.request with
+             | Protocol.Read_at { view = v; _ } -> v = view
+             | _ -> false)
+           t.pending))
+
+(* Read waits are measured on the service's obs clock (DESIGN.md §14):
+   real time by default, the injected manual clock under test. *)
+let now t = Obs.now (Service.obs t.service)
+
 let create ?(queue_limit = 1024) db service =
   if queue_limit < 1 then invalid_arg "Engine.create: queue_limit < 1";
   let t =
@@ -83,15 +97,7 @@ let create ?(queue_limit = 1024) db service =
   in
   (* Plug the blocked-reader census into the scheduler so drains
      prioritize views clients are waiting on. *)
-  Service.set_read_demand service (fun view ->
-      Mutex.protect t.mutex (fun () ->
-          List.length
-            (List.filter
-               (fun ticket ->
-                 match ticket.request with
-                 | Protocol.Read_at { view = v; _ } -> v = view
-                 | _ -> false)
-               t.pending)));
+  Service.set_read_demand service (demand t);
   t
 
 let service t = t.service
@@ -103,16 +109,6 @@ let pending t = Mutex.protect t.mutex (fun () -> List.length t.pending)
 let reads_served t = Mutex.protect t.mutex (fun () -> t.served)
 
 let reads_rejected t = Mutex.protect t.mutex (fun () -> t.rejected)
-
-let demand t view =
-  Mutex.protect t.mutex (fun () ->
-      List.length
-        (List.filter
-           (fun ticket ->
-             match ticket.request with
-             | Protocol.Read_at { view = v; _ } -> v = view
-             | _ -> false)
-           t.pending))
 
 let resolve ticket response =
   Mutex.protect ticket.t_mutex (fun () ->
@@ -139,7 +135,7 @@ let submit t request =
   let ticket =
     {
       request;
-      submitted = Unix.gettimeofday ();
+      submitted = now t;
       t_mutex = Mutex.create ();
       t_cond = Condition.create ();
       result = None;
@@ -203,7 +199,7 @@ let snapshot_memo_hits t = t.snapshot_hits
 
 let serve t ticket ~view ~ctl ~time =
   let hwm = Controller.hwm ctl in
-  let wait = Unix.gettimeofday () -. ticket.submitted in
+  let wait = now t -. ticket.submitted in
   let rows = snapshot_rows t ~view ~ctl ~time in
   let stats = Controller.stats ctl in
   Stats.incr_reads_served stats;

@@ -315,192 +315,3 @@ let run_seeds ?sample ~txns ~first ~count () =
   done;
   Hashtbl.fold (fun point () acc -> point :: acc) exercised []
   |> List.sort String.compare
-
-(* ------------------------------------------------------------------ *)
-(* Hotset lives: the three-life structure over the filtered scenario
-   with heavy-light partitioning attached. The schedule interleaves
-   skewed updates (so keys promote), a mid-run skew flip (so they demote
-   again), propagation, heavy-partial freshening and explicit migration
-   points — so the crash life can land inside [hotset.promote] and
-   [hotset.demote] handoff windows as well as anywhere the plain and
-   auxiliary fleets reach. After recovery the durable heavy set is
-   re-derived from the WAL markers alone and the light ⊎ heavy union
-   must still be exactly the partial. *)
-
-let hot_owner = "rsf"
-
-module Relation = Roll_relation.Relation
-module Tuple = Roll_relation.Tuple
-module Value = Roll_relation.Value
-
-(* π_{k,v}(σ_{tag>=1}(r)) computed straight from the table. *)
-let hot_expected_partial db schema =
-  let r = Database.table db "r" in
-  let out = Relation.of_list schema [] in
-  Relation.iter
-    (fun tuple count ->
-      match Tuple.get tuple 2 with
-      | Value.Int tag when tag >= 1 ->
-          Relation.add out (Tuple.project tuple [ 0; 1 ]) count
-      | _ -> ())
-    (Table.contents r);
-  out
-
-let hot_install fault ctl reg =
-  (C.Controller.ctx ctl).C.Ctx.fault <- fault;
-  C.Hotset.set_fault reg fault;
-  List.iter
-    (fun he ->
-      (C.Controller.ctx (C.Hotset.controller he)).C.Ctx.fault <- fault)
-    (C.Hotset.for_owner reg ~owner:hot_owner)
-
-(* One life: skewed updates with a mid-run flip, user propagation, heavy
-   freshening, and migration points. Every promoted controller inherits
-   the life's fault handle right after the rebalance that created it. *)
-let drive_hot rng fault s ctl reg ~txns =
-  let zipf = Roll_util.Zipf.create ~n:8 ~theta:1.5 in
-  let heavies () = C.Hotset.for_owner reg ~owner:hot_owner in
-  let freshen_heavy step =
-    List.iter
-      (fun he ->
-        let hctl = C.Hotset.controller he in
-        if step then ignore (C.Controller.propagate_step hctl)
-        else ignore (C.Controller.refresh_latest hctl);
-        C.Hotset.sync he)
-      (heavies ())
-  in
-  let migrate () =
-    Capture.advance s.capture;
-    freshen_heavy false;
-    ignore (C.Hotset.rebalance reg);
-    hot_install fault ctl reg
-  in
-  for turn = 1 to txns do
-    (match Prng.int rng 8 with
-    | 0 | 1 ->
-        (* Skewed inserts into the partitioned relation; the second half
-           of the schedule flips the head so earlier heavy keys drain. *)
-        for _ = 1 to 6 do
-          let k = Roll_util.Zipf.sample zipf rng in
-          let k = if 2 * turn > txns then 7 - k else k in
-          ignore
-            (Database.run s.db (fun txn ->
-                 Database.insert txn ~table:"r"
-                   (Tuple.ints [ k; Prng.int rng 5; Prng.int rng 5 ])))
-        done
-    | 2 -> random_txns rng s 1
-    | 3 | 4 -> ignore (C.Controller.propagate_step ctl)
-    | 5 -> C.Controller.refresh_to ctl (C.Controller.hwm ctl)
-    | _ -> migrate ());
-    if Prng.int rng 3 > 0 then freshen_heavy true
-  done;
-  ignore (C.Controller.refresh_latest ctl);
-  migrate ();
-  freshen_heavy false
-
-(* The light ⊎ heavy union must be exactly the partial once every part is
-   freshened — no tuple lost or double-counted by any migration or
-   recovery on the way here. *)
-let check_hot seed ~life s ctl reg =
-  Capture.advance s.capture;
-  C.Hotset.pump reg;
-  List.iter
-    (fun he ->
-      ignore (C.Controller.refresh_latest (C.Hotset.controller he));
-      C.Hotset.sync he)
-    (C.Hotset.for_owner reg ~owner:hot_owner);
-  let tag msg = Printf.sprintf "seed %d: %s hotset %s" seed life msg in
-  match (C.Controller.ctx ctl).C.Ctx.hot with
-  | None -> Alcotest.failf "seed %d: %s: no substitution closure" seed life
-  | Some lookup -> (
-      match lookup ~peek:true 0 with
-      | None ->
-          (* No heavy keys right now: the partition is all-light and the
-             executor plans against the base table. *)
-          Alcotest.(check int) (tag "all-light census") 0
-            (C.Hotset.heavy_count reg ~owner:hot_owner)
-      | Some h ->
-          let schema = Table.schema (List.hd h.C.Ctx.parts) in
-          let union =
-            List.fold_left
-              (fun acc part -> Relation.union acc (Table.contents part))
-              (Relation.of_list schema [])
-              h.C.Ctx.parts
-          in
-          Alcotest.check relation
-            (tag "light ⊎ heavy = partial")
-            (hot_expected_partial s.db schema)
-            union)
-
-let run_seed_hotset ?(sample = fun b -> b mod 4 = 0) ~txns seed =
-  let algorithm = aux_algorithm_of_seed seed in
-  let wire s ~recover =
-    let ctl =
-      if recover then C.Controller.recover s.db s.capture s.view ~algorithm
-      else C.Controller.create ~durable:true s.db s.capture s.view ~algorithm
-    in
-    let reg =
-      C.Hotset.create
-        ~interval:(2 + (seed mod 4))
-        ~capacity:8 ~max_heavy:3 ~enter:0.2 ~exit_:0.1 s.db s.capture
-    in
-    let recovered = C.Hotset.attach ~durable:true ~recover reg ctl in
-    (ctl, reg, recovered)
-  in
-  (* Life 1: profile reachable fault sites (user, heavy partials,
-     migration windows, capture). *)
-  let obs = Fault.observer () in
-  let s_obs = filtered () in
-  let ctl_obs, reg_obs, _ = wire s_obs ~recover:false in
-  hot_install obs ctl_obs reg_obs;
-  Capture.set_fault s_obs.capture obs;
-  drive_hot (Prng.create ~seed) obs s_obs ctl_obs reg_obs ~txns;
-  let sites = Array.of_list (Fault.sites obs) in
-  if Array.length sites = 0 then
-    Alcotest.failf "seed %d: no fault sites reached" seed;
-  (* Life 2: crash at a random reachable site. *)
-  let hrng = Prng.create ~seed:(seed + 300_000) in
-  let point, visits = Prng.pick hrng sites in
-  let hit = 1 + Prng.int hrng visits in
-  let crash = Fault.create ~rules:[ Fault.Crash_at { point; hit } ] () in
-  let s = filtered () in
-  let ctl1, reg1, _ = wire s ~recover:false in
-  hot_install crash ctl1 reg1;
-  Capture.set_fault s.capture crash;
-  let crashed =
-    try
-      drive_hot (Prng.create ~seed) crash s ctl1 reg1 ~txns;
-      false
-    with Fault.Crash _ -> true
-  in
-  if not crashed then
-    Alcotest.failf "seed %d: crash at %s visit %d never fired" seed point hit;
-  let durable = durable_frontier seed s.db s.view in
-  (* Life 3: restart from the WAL alone. The heavy set re-derives from
-     the promote/retire markers; mirrors are rebuilt derived state. *)
-  let s2 = restart filtered s.db in
-  let ctl2, reg2, _ = wire s2 ~recover:true in
-  check_recovery seed ~algorithm ~durable s2 ctl2 ~sample;
-  check_hot seed ~life:"recovered" s2 ctl2 reg2;
-  (* Keep living on the recovered state, then the final checks. *)
-  drive_hot (Prng.create ~seed:(seed + 1)) Fault.none s2 ctl2 reg2 ~txns;
-  Alcotest.check relation
-    (Printf.sprintf "seed %d: final contents (crashed at %s#%d)" seed point
-       hit)
-    (C.Oracle.view_at s2.history s2.view (C.Controller.as_of ctl2))
-    (C.Controller.contents ctl2);
-  check_hot seed ~life:"final" s2 ctl2 reg2;
-  (point, hit, C.Stats.hot_hits (C.Controller.stats ctl2))
-
-let run_seeds_hotset ?sample ~txns ~first ~count () =
-  let exercised = Hashtbl.create 16 in
-  let hits = ref 0 in
-  for seed = first to first + count - 1 do
-    let point, _, h = run_seed_hotset ?sample ~txns seed in
-    hits := !hits + h;
-    Hashtbl.replace exercised point ()
-  done;
-  if !hits = 0 then
-    Alcotest.fail "hotset fleet: heavy-light substitution never fired";
-  Hashtbl.fold (fun point () acc -> point :: acc) exercised []
-  |> List.sort String.compare

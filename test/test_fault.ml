@@ -243,137 +243,6 @@ let test_fuzz_100_seeds_aux () =
       (List.length points)
       (String.concat ", " points)
 
-(* Mid-migration crash coverage for the hotset handoff windows. The two
-   fault points sit on opposite sides of their durable markers: a promote
-   crash lands {e after} the promote marker (the key must recover heavy,
-   with the light residual rebuilt minus the key), a demote crash lands
-   {e before} the retire marker (the key must recover still heavy, and
-   the in-memory fold into the light residual must die with the process —
-   no row lost or double-counted either way). The randomized hotset fuzz
-   below reaches these windows too, but only on the seeds whose uniform
-   site draw lands there; these two are deterministic. *)
-
-let hot_registry s =
-  C.Hotset.create ~interval:4 ~capacity:8 ~max_heavy:3 ~enter:0.2 ~exit_:0.10
-    s.db s.capture
-
-let skewed_inserts rng zipf s n ~key =
-  for _ = 1 to n do
-    let k = match key with Some k -> k () | None -> Roll_util.Zipf.sample zipf rng in
-    ignore
-      (Database.run s.db (fun txn ->
-           Database.insert txn ~table:"r"
-             (Roll_relation.Tuple.ints [ k; Prng.int rng 5; Prng.int rng 5 ])))
-  done
-
-let test_crash_mid_promote () =
-  let s = filtered () in
-  let rng = Prng.create ~seed:208 in
-  let zipf = Roll_util.Zipf.create ~n:8 ~theta:1.4 in
-  random_txns rng s 10;
-  let ctl =
-    C.Controller.create ~durable:true s.db s.capture s.view
-      ~algorithm:rolling_algo
-  in
-  let reg = hot_registry s in
-  ignore (C.Hotset.attach ~durable:true reg ctl);
-  skewed_inserts rng zipf s 120 ~key:None;
-  Capture.advance s.capture;
-  C.Hotset.set_fault reg (Fault.crash_at "hotset.promote" ~hit:1);
-  (try
-     ignore (C.Hotset.rebalance reg);
-     Alcotest.fail "expected crash mid-promotion"
-   with Fault.Crash ("hotset.promote", 1) -> ());
-  (* Exactly one promote marker became durable before the crash; the
-     in-memory half of the handoff died with the process. *)
-  let s2 = Harness.restart filtered s.db in
-  let ctl2 =
-    C.Controller.recover s2.db s2.capture s2.view ~algorithm:rolling_algo
-  in
-  let reg2 = hot_registry s2 in
-  let recovered = C.Hotset.attach ~durable:true ~recover:true reg2 ctl2 in
-  Alcotest.(check int) "exactly the marked key recovers heavy" 1
-    (List.length recovered);
-  Harness.check_hot 208 ~life:"promote-crash recovered" s2 ctl2 reg2;
-  finish_and_check s2 ctl2
-
-let test_crash_mid_demote () =
-  let s = filtered () in
-  let rng = Prng.create ~seed:209 in
-  let zipf = Roll_util.Zipf.create ~n:8 ~theta:1.4 in
-  random_txns rng s 10;
-  let ctl =
-    C.Controller.create ~durable:true s.db s.capture s.view
-      ~algorithm:rolling_algo
-  in
-  let reg = hot_registry s in
-  ignore (C.Hotset.attach ~durable:true reg ctl);
-  skewed_inserts rng zipf s 120 ~key:None;
-  Capture.advance s.capture;
-  let promoted, _ = C.Hotset.rebalance reg in
-  Alcotest.(check bool) "skew promoted the head" true (promoted <> []);
-  let old_heavy = List.map C.Hotset.key promoted in
-  (* Flood the tail so every head key's share collapses below exit, then
-     crash inside the first demotion — after its fold into the light
-     residual, before its retire marker. *)
-  skewed_inserts rng zipf s 2000 ~key:(Some (fun () -> 4 + Prng.int rng 4));
-  Capture.advance s.capture;
-  List.iter
-    (fun he ->
-      ignore (C.Controller.refresh_latest (C.Hotset.controller he));
-      C.Hotset.sync he)
-    (C.Hotset.for_owner reg ~owner:"rsf");
-  C.Hotset.set_fault reg (Fault.crash_at "hotset.demote" ~hit:1);
-  (try
-     ignore (C.Hotset.rebalance reg);
-     Alcotest.fail "expected crash mid-demotion"
-   with Fault.Crash ("hotset.demote", 1) -> ());
-  (* No retire marker committed: every pre-flood heavy key recovers still
-     heavy, and the crashed fold must not double-count its rows. *)
-  let s2 = Harness.restart filtered s.db in
-  let ctl2 =
-    C.Controller.recover s2.db s2.capture s2.view ~algorithm:rolling_algo
-  in
-  let reg2 = hot_registry s2 in
-  let recovered = C.Hotset.attach ~durable:true ~recover:true reg2 ctl2 in
-  let recovered_keys = List.map C.Hotset.key recovered in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool)
-        (Printf.sprintf "crashed demotion left key %d durably heavy" k)
-        true
-        (List.mem k recovered_keys))
-    old_heavy;
-  Harness.check_hot 209 ~life:"demote-crash recovered" s2 ctl2 reg2;
-  (* The interrupted migration completes cleanly on the recovered state:
-     the re-seeded sketch still reads the head below exit. *)
-  Capture.advance s2.capture;
-  List.iter
-    (fun he ->
-      ignore (C.Controller.refresh_latest (C.Hotset.controller he));
-      C.Hotset.sync he)
-    (C.Hotset.for_owner reg2 ~owner:"rsf");
-  let _, demoted = C.Hotset.rebalance reg2 in
-  Alcotest.(check bool) "interrupted demotion completes after recovery" true
-    (demoted <> []);
-  Harness.check_hot 209 ~life:"demote completed" s2 ctl2 reg2;
-  finish_and_check s2 ctl2
-
-(* The same harness over views with a hotset attached: 100 seeded runs on
-   the filtered scenario with zipf-skewed updates (head flipped mid-run so
-   both promotions and demotions happen), crashing at a random reachable
-   site — including inside the [hotset.promote] and [hotset.demote]
-   migration windows — and verifying after recovery that the user view is
-   oracle-equivalent and that the light ⊎ heavy union is exactly the
-   partitioned partial (no tuple lost or double-counted across the
-   crashed handoff). *)
-let test_fuzz_100_seeds_hotset () =
-  let points = Harness.run_seeds_hotset ~txns:10 ~first:0 ~count:100 () in
-  if List.length points < 5 then
-    Alcotest.failf "only %d distinct crash sites exercised: %s"
-      (List.length points)
-      (String.concat ", " points)
-
 let suite =
   [
     Alcotest.test_case "crash between propagate and apply" `Quick
@@ -392,10 +261,4 @@ let suite =
       test_fuzz_100_seeds;
     Alcotest.test_case "fuzz: 100 seeded aux crash-recovery runs" `Quick
       test_fuzz_100_seeds_aux;
-    Alcotest.test_case "crash mid-promotion handoff" `Quick
-      test_crash_mid_promote;
-    Alcotest.test_case "crash mid-demotion handoff" `Quick
-      test_crash_mid_demote;
-    Alcotest.test_case "fuzz: 100 seeded hotset crash-recovery runs" `Quick
-      test_fuzz_100_seeds_hotset;
   ]

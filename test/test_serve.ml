@@ -241,6 +241,37 @@ let test_fresh_serves_at_hwm () =
         (rows = oracle_rows s hwm)
   | _ -> Alcotest.fail "FRESH read did not resolve immediately"
 
+(* Read waits are measured on the service's obs clock: under a manual
+   clock a queued read reports exactly the time the clock was advanced
+   while it waited, and the same figure lands in the view's Stats. *)
+let test_wait_on_obs_clock () =
+  let s = two_table () in
+  let clock = Roll_obs.Clock.manual () in
+  let service =
+    C.Service.create ~obs:(Roll_obs.Obs.create ~clock ()) s.db s.capture
+  in
+  let ctl =
+    C.Service.register service
+      ~algorithm:(C.Controller.Rolling (C.Rolling.uniform 3))
+      s.view
+  in
+  let engine = S.Engine.create s.db service in
+  random_txns (Prng.create ~seed:607) s 15;
+  let now = Database.now s.db in
+  let ticket = S.Engine.submit engine (P.Read_at { view = "rs"; time = now }) in
+  ignore (S.Engine.pump engine);
+  Alcotest.(check bool) "read queued behind the hwm" true
+    (still_pending ticket);
+  Roll_obs.Clock.advance clock 2.5;
+  drain service;
+  ignore (S.Engine.pump engine);
+  (match S.Engine.poll ticket with
+  | Some (P.Rows { wait; _ }) ->
+      Alcotest.(check (float 0.)) "wait equals the manual advance" 2.5 wait
+  | _ -> Alcotest.fail "queued read did not resolve to rows");
+  Alcotest.(check (float 0.)) "stats read_wait" 2.5
+    (C.Stats.read_wait (C.Controller.stats ctl))
+
 (* A burst of reads at one (view, t) materializes the snapshot once; the
    memo dies when the gc horizon passes its time. *)
 let test_snapshot_memo () =
@@ -504,6 +535,8 @@ let suite =
     Alcotest.test_case "admission rules" `Quick test_admission;
     Alcotest.test_case "FRESH serves at the hwm" `Quick
       test_fresh_serves_at_hwm;
+    Alcotest.test_case "read wait runs on the obs clock" `Quick
+      test_wait_on_obs_clock;
     Alcotest.test_case "gc horizon rejection" `Quick test_gc_horizon_reject;
     Alcotest.test_case "snapshot memo serves repeats and evicts at the horizon"
       `Quick test_snapshot_memo;
