@@ -6,11 +6,11 @@
    A second axis measures multicore drain throughput: the same star
    workload drained through worker-domain pools of 1, 2 and 4 domains,
    with every parallel run's final view contents checked bit-identical to
-   a serial reference drain. Each point reports both the measured wall
-   clock (meaningful only when the host actually has spare cores — the
-   JSON records [cores] so readers can tell) and a DES-modeled drain time
-   driven by the run's measured query footprints, the same contention
-   methodology as the policy axis. *)
+   the one-domain (serial) drain's. Each point reports both the measured
+   wall clock (meaningful only when the host actually has spare cores —
+   the JSON records [cores] so readers can tell) and a DES-modeled drain
+   time driven by the run's measured query footprints, the same
+   contention methodology as the policy axis. *)
 
 module S = Roll_sim.Schedsim
 module C = Roll_core
@@ -46,7 +46,7 @@ type domains_point = {
   throughput : float;  (* steps per wall second, measured *)
   des_makespan : float;  (* DES-modeled drain time on [domains] lanes *)
   des_throughput : float;  (* steps per DES-modeled second *)
-  identical : bool;  (* contents bit-identical to the serial reference *)
+  identical : bool;  (* contents bit-identical to the one-domain run's *)
 }
 
 (* One view per dimension, fact ⋈ dim_i. Registrations are staggered by
@@ -85,15 +85,15 @@ let star_sub_view star ~name ~dim =
   C.View.create db ~name ~sources ~predicate
     ~project:[ bind "f" "measure"; bind "d" "attr" ]
 
-(* Build the workload, drain it (serial when [domains] is [None], through
-   a pool otherwise), and return steps, wall seconds, the final contents
-   of every view at the last data commit, and the measured per-query
-   footprints tagged with their view, in serialization order. *)
+(* Build the workload, drain it through a pool of [domains] lanes, and
+   return steps, wall seconds, the final contents of every view at the
+   last data commit, and the measured per-query footprints tagged with
+   their view, in serialization order. *)
 let run_star_drain ~domains =
   let star = W.Star.create star_config in
   W.Star.load_initial star;
   let db = W.Star.db star in
-  let service = C.Service.create ?domains ~default_sla:50 db (W.Star.capture star) in
+  let service = C.Service.create ~domains ~default_sla:50 db (W.Star.capture star) in
   let ctls =
     List.init star_config.W.Star.n_dimensions (fun dim ->
         let v = star_sub_view star ~name:(Printf.sprintf "star%d" dim) ~dim in
@@ -174,10 +174,12 @@ let des_drain_makespan footprints ~lanes =
   (Des.run txns).Des.makespan
 
 let run_domains_axis () =
-  let _, _, reference, _ = run_star_drain ~domains:None in
+  let runs =
+    List.map (fun n -> (n, run_star_drain ~domains:n)) [ 1; 2; 4 ]
+  in
+  let reference = match runs with (_, (_, _, c, _)) :: _ -> c | [] -> [] in
   List.map
-    (fun n ->
-      let steps, wall, contents, footprints = run_star_drain ~domains:(Some n) in
+    (fun (n, (steps, wall, contents, footprints)) ->
       let des_makespan = des_drain_makespan footprints ~lanes:n in
       {
         domains = n;
@@ -189,7 +191,7 @@ let run_domains_axis () =
           (if des_makespan > 0. then float_of_int steps /. des_makespan else 0.);
         identical = List.for_all2 Relation.equal reference contents;
       })
-    [ 1; 2; 4 ]
+    runs
 
 let json_of_domains_point ~wall_base ~des_base p =
   Printf.sprintf

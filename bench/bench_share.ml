@@ -3,10 +3,12 @@
    windows), maintained once with the service's sharing memo and once
    independently over an identically-seeded scenario. Writes
    BENCH_sharing.json with per-mode executor counters so the shared run's
-   savings (memoized deltas, shared hash builds, batched steps) can be
-   tracked across revisions. Maintained contents must be identical in both
-   modes and match the oracle — sharing changes which physical queries run,
-   never the result. *)
+   savings (memoized deltas, shared hash builds) can be tracked across
+   revisions. The [batched] column counts wave followers — propagate steps
+   that joined a wave behind its head — so it stays 0 for a one-domain
+   service. Maintained contents must be identical in both modes and match
+   the oracle — sharing changes which physical queries run, never the
+   result. *)
 
 module Time = Roll_delta.Time
 module Database = Roll_storage.Database
@@ -52,7 +54,7 @@ type mode_result = {
   memo_hits : int;
   memo_misses : int;
   shared_builds : int;
-  batched : int;
+  batched : int;  (** wave followers (propagate steps behind a wave head) *)
   propagate_ran : int;
   contents : (string * Relation.t) list;  (** by view name *)
   oracle_ok : bool;

@@ -102,7 +102,7 @@ let serve_term =
       value
       & opt (some int) None
       & info [ "domains" ] ~docv:"N"
-          ~doc:"worker-domain pool size (default: ROLL_DOMAINS, else serial)")
+          ~doc:"worker-domain pool size (default: ROLL_DOMAINS, else 1)")
   in
   let budget =
     Arg.(

@@ -399,7 +399,7 @@ let checkpoint t path =
 (* ------------------------------------------------------------------ *)
 (* Reliable stepping                                                   *)
 
-let propagate_step_reliable t ~retry ~sleep =
+let reliable t ~retry ~sleep step =
   let stats = t.ctx.Ctx.stats in
   let mark = Delta.length t.ctx.Ctx.out in
   let memo_mark = Memo.mark t.ctx.Ctx.memo in
@@ -409,9 +409,11 @@ let propagate_step_reliable t ~retry ~sleep =
     (* Memo entries filled by the aborted attempt hold slices of the rows
        the truncate just dropped; served to a sibling view (or to this
        view's re-run) they would replay a transaction that never committed.
-       Maintenance is single-threaded, so everything memoized past the mark
-       belongs to the failed step. *)
-    Memo.evict_since t.ctx.Ctx.memo memo_mark
+       The eviction is owner-scoped: sibling wave items may be filling the
+       memo concurrently, and their entries past the mark are valid. On
+       the drain domain every entry past the mark is this step's own, so
+       the scope changes nothing there. *)
+    Memo.evict_since ~owner:t.ctx.Ctx.memo_owner t.ctx.Ctx.memo memo_mark
   in
   let result =
     Retry.run retry ~sleep
@@ -423,12 +425,12 @@ let propagate_step_reliable t ~retry ~sleep =
            process frontiers are untouched — every injection point in
            [Propagate] and [Rolling] fires before the frontier advances. *)
         rollback ())
-      (fun () -> propagate_step t)
+      step
   in
   match result with
-  | Ok advanced ->
+  | Ok _ as ok ->
       if !retried then Stats.incr_recoveries stats;
-      Ok advanced
+      ok
   | Error failure ->
       rollback ();
       Stats.incr_aborts stats;
@@ -443,8 +445,8 @@ let propagate_step_reliable t ~retry ~sleep =
 
 (* Only rolling processes (including Adaptive, which is a policy over
    P_rolling) decompose into per-relation window steps with explicit
-   bounds; Uniform and Deferred keep their own pacing and stay on the
-   serial path. *)
+   bounds; Uniform and Deferred keep their own pacing and run as single
+   items on the drain domain. *)
 let supports_window_step t =
   match t.process with
   | P_rolling _ -> true
@@ -488,41 +490,6 @@ let step_window t ~relation ~hi ~frozen =
         res)
   end
   else step_window_body t ~relation ~hi ~frozen
-
-let step_window_reliable t ~relation ~hi ~frozen ~retry ~sleep =
-  let stats = t.ctx.Ctx.stats in
-  let mark = Delta.length t.ctx.Ctx.out in
-  let memo_mark = Memo.mark t.ctx.Ctx.memo in
-  let retried = ref false in
-  let rollback () =
-    Delta.truncate t.ctx.Ctx.out mark;
-    (* Owner-scoped eviction: sibling wave items may be filling the memo
-       concurrently, and their entries past the mark are valid — only this
-       step's own fills replay rows the truncate just dropped. Fault
-       injection fires before the frontier advances, so [tfwd] needs no
-       restore here (the post-success undo path is {!undo_window}). *)
-    Memo.evict_since ~owner:t.ctx.Ctx.memo_owner t.ctx.Ctx.memo memo_mark
-  in
-  let result =
-    Retry.run retry ~sleep
-      ~on_retry:(fun ~attempt:_ ~delay:_ ->
-        retried := true;
-        Stats.incr_retries stats;
-        rollback ())
-      (fun () -> step_window t ~relation ~hi ~frozen)
-  in
-  match result with
-  | Ok _ as ok ->
-      if !retried then Stats.incr_recoveries stats;
-      ok
-  | Error failure ->
-      rollback ();
-      Stats.incr_aborts stats;
-      Log.err (fun m ->
-          m "view %s: window step aborted at %s (hit %d) after %d attempts"
-            (View.name t.ctx.Ctx.view) failure.Retry.point failure.Retry.hit
-            failure.Retry.attempts);
-      Error failure
 
 (* Post-join bookkeeping for a wave item that succeeded, run on the drain
    domain in wave order: the frozen-mode counterpart of

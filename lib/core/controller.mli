@@ -130,18 +130,24 @@ val propagate_step : t -> bool
     propagation process is fully caught up. When durable, an advancing
     step that committed work also records its frontier. *)
 
-val propagate_step_reliable :
+val reliable :
   t ->
   retry:Roll_util.Retry.policy ->
   sleep:(float -> unit) ->
-  (bool, Roll_util.Retry.failure) result
-(** {!propagate_step} under a retry policy: a step failing with
+  (unit -> 'a) ->
+  ('a, Roll_util.Retry.failure) result
+(** [reliable t ~retry ~sleep step] runs [step] — one {!propagate_step} or
+    {!step_window} of [t] — under a retry policy: a step failing with
     {!Roll_util.Fault.Transient} has its partial emissions rolled back
-    (the aborted transaction's writes) and is re-run after backoff,
-    counting a retry in {!stats}; eventual success after retries counts a
-    recovery. Exhausting the budget rolls back, counts an abort and
-    returns the typed failure. Other exceptions (including
-    {!Roll_util.Fault.Crash}) propagate. *)
+    (the aborted transaction's writes, and the memo entries this context's
+    {!Ctx.memo_owner} filled) and is re-run after backoff, counting a
+    retry in {!stats}; eventual success after retries counts a recovery.
+    Exhausting the budget rolls back, counts an abort and returns the
+    typed failure. Other exceptions (including {!Roll_util.Fault.Crash})
+    propagate. The rollback is owner-scoped so that concurrent sibling
+    fills survive a worker's retry. On a worker, [sleep] must only
+    accumulate (never touch the database clock); the drain domain applies
+    accumulated backoff deterministically after the wave joins. *)
 
 (** {2 Window stepping (parallel waves)}
 
@@ -158,7 +164,8 @@ val propagate_step_reliable :
 val supports_window_step : t -> bool
 (** Whether this controller's process decomposes into explicit-window
     steps — true exactly for the rolling family ([Rolling]/[Adaptive]);
-    [Uniform] and [Deferred] keep their own pacing and stay serial. *)
+    [Uniform] and [Deferred] keep their own pacing and run through
+    {!propagate_step}. *)
 
 val step_window :
   t ->
@@ -168,34 +175,19 @@ val step_window :
   bool * bool
 (** Run one explicit-window step [(tfwd relation, hi]] in frozen-clock
     mode with virtual execution time [frozen] (the capture high-water mark
-    at wave start). Returns [(advanced, executed)]: [advanced] is false on
+    at wave start, once the drain has caught capture up to the end of the
+    log). Returns [(advanced, executed)]: [advanced] is false on
     an idle step, [executed] whether a physical query ran (false for a
     quiet-window advance or a full memo replay). Does {e not} record
     frontier markers — the drain domain calls {!note_step_durable}.
     @raise Invalid_argument unless {!supports_window_step}. *)
-
-val step_window_reliable :
-  t ->
-  relation:int ->
-  hi:Roll_delta.Time.t ->
-  frozen:Roll_delta.Time.t ->
-  retry:Roll_util.Retry.policy ->
-  sleep:(float -> unit) ->
-  (bool * bool, Roll_util.Retry.failure) result
-(** {!step_window} under a retry policy, the wave analogue of
-    {!propagate_step_reliable}. Rollbacks are owner-scoped: only memo
-    entries inserted by this context's {!Ctx.memo_owner} slot are evicted,
-    so concurrent sibling fills survive. [sleep] runs on the worker — it
-    must only accumulate (never touch the database clock); the drain
-    domain applies accumulated backoff deterministically after the wave
-    joins. *)
 
 val note_step_durable : t -> advanced:bool -> executed:bool -> unit
 (** Post-join durability bookkeeping for one successful wave item, called
     on the drain domain in wave order: records a frontier marker iff the
     step advanced, the controller is durable, and a physical query ran
     (quiet advances replay deterministically on recovery — same rule as
-    the serial path's "clock moved" test). *)
+    {!propagate_step}'s "clock moved" test). *)
 
 val undo_window :
   t ->
@@ -208,8 +200,9 @@ val undo_window :
 (** Undo a wave item that completed but is ordered {e after} a failed item
     of the same wave: truncate its emitted view-delta rows back to
     [out_mark], evict its owner's memo fills past [memo_mark], and restore
-    [tfwd relation] to [lo]. Wave failure semantics match the serial
-    drain: the earliest failure wins and nothing after it happened. *)
+    [tfwd relation] to [lo]. Wave failure semantics match running the
+    members one by one: the earliest failure wins and nothing after it
+    happened. *)
 
 val propagate_until : t -> Roll_delta.Time.t -> unit
 (** Run propagation steps until [hwm] reaches the target (which must have

@@ -101,11 +101,9 @@ let add ?(owner = 0) t key rows =
 let mark t = Atomic.get t.seq
 
 (* Drop every entry added after [mark] — restricted to [owner]'s entries
-   when given. The serial drain evicts unscoped (everything past the mark
-   belongs to the step being rolled back); a parallel wave scopes eviction
-   to the failing step's owner slot so sibling steps' concurrent fills
-   survive. The build cache stays — its entries are content-addressed and
-   unaffected by step aborts. *)
+   when given. A drain scopes eviction to the failing step's owner slot so
+   sibling wave steps' concurrent fills survive. The build cache stays —
+   its entries are content-addressed and unaffected by step aborts. *)
 let evict_since ?owner t mark =
   let evicts own = match owner with None -> true | Some o -> o = own in
   Array.iter

@@ -67,8 +67,7 @@ val evict_since : ?owner:int -> t -> int -> unit
     replay rows the rollback just discarded. With [owner], only that
     slot's entries are dropped (parallel waves roll back one step without
     disturbing sibling steps' concurrent fills); without, everything past
-    the mark goes (the serial drain, where all of it belongs to the failed
-    step). *)
+    the mark goes. *)
 
 val clear : t -> unit
 (** Drop all entries and clear the build cache (drain-scoped

@@ -61,8 +61,8 @@ val window_hi :
   Roll_delta.Time.t
 (** The upper bound [step_relation] would use for a window starting at
     [start] — exported so the controller's step candidates advertise the
-    same windows the steps will actually run (the scheduler batches on
-    window identity). *)
+    same windows the steps will actually run (the scheduler forms waves
+    from window disjointness). *)
 
 val hwm : t -> Roll_delta.Time.t
 (** [min_i (tfwd i)]: the view delta is complete from [t_initial] through

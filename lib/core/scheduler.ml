@@ -397,37 +397,6 @@ let select ?full t sources =
   in
   (head, runnable)
 
-let take ?full t sources = fst (select ?full t sources)
-
-let take_batch ?full t sources =
-  let head, runnable = select ?full t sources in
-  match head with
-  | None -> []
-  | Some head -> (
-      match (t.policy, head.item, head.window) with
-      | Slack, Propagate_step _, Some w ->
-          (* Batch every other runnable propagate step that reads the very
-             same delta window behind the head: executed back to back they
-             hit the drain-scoped delta memo and share hash builds. Windows
-             only coincide under grid alignment, and Round_robin keeps the
-             legacy one-item drains, so this is policy-visible but changes
-             no default ordering. *)
-          let followers =
-            List.filter
-              (fun s ->
-                s.item <> head.item
-                && (match s.item with
-                   | Propagate_step _ -> true
-                   | Capture_advance | Apply_refresh _ | Checkpoint _ | Gc _
-                     -> false)
-                && s.window = Some w)
-              runnable
-          in
-          let c = Stats.sched_kind t.stats "propagate" in
-          c.Stats.batched <- c.Stats.batched + List.length followers;
-          head :: followers
-      | _ -> [ head ])
-
 (* Two windows conflict when they overlap on the same delta table; any
    other pair can run in the same wave. Identical windows (aligned sibling
    views) deliberately conflict: executed back to back on one domain they

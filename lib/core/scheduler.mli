@@ -60,8 +60,8 @@ type scored = {
       (** capture backpressure: the window is not fully captured yet *)
   window : (string * Roll_delta.Time.t * Roll_delta.Time.t) option;
       (** for propagate items, the [(table, lo, hi)] delta window the
-          step's forward query would read — the batching key {!take_batch}
-          groups on; [None] for every other kind *)
+          step's forward query would read — what {!take_wave} checks for
+          disjointness; [None] for every other kind *)
   readers : int;
       (** clients currently blocked waiting on this view's freshness (see
           {!set_read_demand}); 0 for non-propagate kinds *)
@@ -124,38 +124,23 @@ val plan : ?full:bool -> t -> source list -> scored list
     offers apply/checkpoint/gc items. Planning is read-only and can be
     called at any time to inspect the queue. *)
 
-val take : ?full:bool -> t -> source list -> scored option
+val take_wave : ?full:bool -> t -> source list -> max:int -> scored list
 (** Pop the best runnable item (replanning against current state) and
     count scheduled/deferred/backpressured. Deferred propagate items are
     never returned; when any exist and capture lags, the capture item is
-    returned with a boosted score instead. [None] when nothing is
-    runnable — every view is caught up (or paused) and capture has no
-    lag. *)
-
-val take_batch : ?full:bool -> t -> source list -> scored list
-(** Like {!take}, but under {!Slack} when the best runnable item is a
-    propagate step, every other runnable propagate step whose forward
-    query reads the {e same} delta window (equal {!scored.window}) is
-    appended behind it, in score order — one batch of sibling steps that,
-    executed back to back, serve each other from the drain-scoped delta
-    memo and share hash builds. Followers count toward the propagate
-    kind's [batched] counter. Under {!Round_robin} (and for every
-    non-propagate head) the batch is the singleton {!take} would return;
-    [[]] when nothing is runnable. *)
-
-val take_wave : ?full:bool -> t -> source list -> max:int -> scored list
-(** Like {!take}, but when the best runnable item is a propagate step of a
-    window-steppable (rolling-family) controller, up to [max] runnable
-    propagate steps with {e pairwise-disjoint} delta windows are handed
-    out together, in score order — one {e wave} the drain may execute
-    concurrently on worker domains. Two windows conflict exactly when they
-    overlap on the same table; identical windows (aligned siblings)
-    deliberately conflict so they keep their serial back-to-back memo
-    sharing. At most one item per view is ever offered, so wave members
-    are distinct views by construction. Followers count toward the
-    propagate kind's [batched] counter. Non-propagate heads,
-    non-window-steppable processes and [max = 1] degrade to the singleton
-    {!take} would return; [[]] when nothing is runnable.
+    returned with a boosted score instead. When the best runnable item is
+    a propagate step of a window-steppable (rolling-family) controller, up
+    to [max] runnable propagate steps with {e pairwise-disjoint} delta
+    windows are handed out together, in score order — one {e wave} the
+    drain may execute concurrently on worker domains. Two windows conflict
+    exactly when they overlap on the same table; identical windows
+    (aligned siblings) deliberately conflict so they keep their serial
+    back-to-back memo sharing. At most one item per view is ever offered,
+    so wave members are distinct views by construction. Followers count
+    toward the propagate kind's [batched] counter. Non-propagate heads,
+    non-window-steppable processes and [max = 1] yield the best item
+    alone; [[]] when nothing is runnable — every view is caught up (or
+    paused) and capture has no lag.
     @raise Invalid_argument if [max] is not positive. *)
 
 val note_ran : ?domain:int -> t -> item -> wall:float -> unit

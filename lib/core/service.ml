@@ -56,8 +56,9 @@ type t = {
   memo : Memo.t;  (** the shared drain-scoped delta memo (enabled iff sharing) *)
   default_sla : int;
   obs : Roll_obs.Obs.t;
-  pool : Roll_util.Dpool.t option;
-      (** worker-domain pool; [Some] switches drains to wave execution *)
+  pool : Roll_util.Dpool.t;
+      (** the drain's lanes: one slot (no worker domain) unless
+          [~domains] asks for more *)
   mutable gc_threshold : int;
   mutable entries : entry list;  (** registration order *)
   auxiliary : Auxiliary.t option;
@@ -93,9 +94,8 @@ let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary
     match auxiliary with Some a -> a | None -> env_flag "ROLL_AUX"
   in
   if default_sla <= 0 then invalid_arg "Service.create: default_sla";
-  (match domains with
-  | Some n when n < 1 -> invalid_arg "Service.create: domains must be >= 1"
-  | _ -> ());
+  let domains = Option.value domains ~default:1 in
+  if domains < 1 then invalid_arg "Service.create: domains must be >= 1";
   let obs = match obs with Some o -> o | None -> Roll_obs.Obs.disabled () in
   let scheduler = Scheduler.create ?policy ?cost_weight ?capture_batch db capture in
   if Roll_obs.Obs.enabled obs then begin
@@ -116,10 +116,7 @@ let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary
     memo = Memo.create ~enabled:sharing ();
     default_sla;
     obs;
-    pool =
-      (match domains with
-      | None -> None
-      | Some n -> Some (Roll_util.Dpool.create ~domains:n ()));
+    pool = Roll_util.Dpool.create ~domains ();
     gc_threshold;
     entries = [];
     auxiliary = (if auxiliary then Some (Auxiliary.create db capture) else None);
@@ -131,15 +128,13 @@ let scheduler t = t.scheduler
    (Roll_serve.Engine) installs its waiting-reader census here. *)
 let set_read_demand t f = Scheduler.set_read_demand t.scheduler f
 
-let domains t =
-  match t.pool with None -> 1 | Some p -> Roll_util.Dpool.size p
+let domains t = Roll_util.Dpool.size t.pool
 
-(* Join the worker domains (no-op for a serial service). The pool also
+(* Join the worker domains (no-op for a one-lane service). The pool also
    shuts down on process exit, but callers creating many short-lived
    parallel services (tests, benches) must release each one to stay under
    the runtime's domain limit. *)
-let shutdown t =
-  match t.pool with None -> () | Some p -> Roll_util.Dpool.shutdown p
+let shutdown t = Roll_util.Dpool.shutdown t.pool
 
 (* View-name shard: which domain slot a view's propagate items are homed
    to for queue-depth reporting. Purely observational — waves assign work
@@ -430,7 +425,9 @@ let exec_item t ~skipped ~bg_done ~step ~capture_run (scored : Scheduler.scored)
   let mark_bg kind view = Hashtbl.replace bg_done (kind, view) () in
   match scored.Scheduler.item with
   | Scheduler.Capture_advance -> (
-      match capture_run () with Ok () -> Ok false | Error e -> Error e)
+      match capture_run ~max_records:(Scheduler.capture_batch t.scheduler) with
+      | Ok () -> Ok false
+      | Error e -> Error e)
   | Scheduler.Propagate_step { view; _ } -> (
       let e = find t view in
       match step e.controller with
@@ -474,9 +471,6 @@ let exec_item t ~skipped ~bg_done ~step ~capture_run (scored : Scheduler.scored)
       ignore (reclaim_wal t);
       Ok true
 
-let advance_capture t =
-  Capture.advance ?max_records:(Scheduler.capture_batch t.scheduler) t.capture
-
 let step_error view (f : Roll_util.Retry.failure) =
   {
     view;
@@ -489,12 +483,12 @@ let step_error view (f : Roll_util.Retry.failure) =
    before any delta mutation, so a failed advance left nothing behind and
    can simply be re-run. Capture retries are counted on the scheduler's
    stats (capture has no per-view controller to count them on). *)
-let reliable_capture t ~retry ~sleep () =
+let reliable_capture t ~retry ~sleep ~max_records =
   let sched_stats = Scheduler.stats t.scheduler in
   match
     Roll_util.Retry.run retry ~sleep
       ~on_retry:(fun ~attempt:_ ~delay:_ -> Stats.incr_retries sched_stats)
-      (fun () -> advance_capture t)
+      (fun () -> Capture.advance ?max_records t.capture)
   with
   | Ok () -> Ok ()
   | Error f ->
@@ -513,7 +507,7 @@ let out_length t (item : Scheduler.item) =
       | None -> 0)
   | _ -> 0
 
-(* Per-item observations shared by the serial and wave drains: the
+(* Per-item observations shared by single items and wave members: the
    item-latency and window-width histograms, plus rows emitted for
    propagate items. *)
 let observe_item t (s : Scheduler.scored) ~wall ~emitted =
@@ -605,12 +599,14 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
   (* ---------------- wave execution (worker-domain pool) ------------- *)
   (* One wave: pairwise-disjoint-window propagate steps of distinct views,
      executed concurrently in frozen-clock mode, then committed by this
-     (single-writer) domain in wave order. Failure semantics match the
-     serial drain: the earliest wave-order failure wins and every later
-     item — even a successful one — is undone as if it never ran. *)
-  let exec_wave pool (wave : Scheduler.scored list) =
+     (single-writer) domain in wave order. Failure semantics match running
+     the members one by one: the earliest wave-order failure wins and
+     every later item — even a successful one — is undone as if it never
+     ran. *)
+  let exec_wave (wave : Scheduler.scored list) =
     let module Dpool = Roll_util.Dpool in
     let frozen = Capture.hwm t.capture in
+    let clock = Database.now t.db in
     (* Pre-build every lazy timestamp index a wave item will read: window
        reads rebuild stale indexes in place, which is only safe before the
        workers start sharing the deltas read-only. *)
@@ -622,7 +618,7 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
       wave;
     let items = Array.of_list wave in
     let n = Array.length items in
-    let size = Dpool.size pool in
+    let size = Dpool.size t.pool in
     let prep =
       Array.mapi
         (fun k (s : Scheduler.scored) ->
@@ -683,7 +679,7 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
           else run ())
         prep
     in
-    let results = Dpool.map pool jobs in
+    let results = Dpool.map t.pool jobs in
     (* Single-writer commit phase, wave order throughout. Restore the
        contexts' observability handles and splice the forked traces back
        first, so commit-phase spans and errors land on the parent. *)
@@ -695,6 +691,10 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
           Roll_obs.Obs.absorb saved_obs child
         end)
       prep;
+    (* Members read base tables at physical time and compensate only up to
+       [frozen]: a commit during the wave would fall between the two. *)
+    if Database.now t.db <> clock then
+      failwith "Service: the database clock moved during a wave";
     let first_err = ref n in
     Array.iteri
       (fun k r ->
@@ -747,46 +747,53 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
           failure := Some f
       | Error exn ->
           (* A plain (retry-less) drain propagates step exceptions; the
-             partial state it leaves matches the serial path's. *)
+             partial state it leaves matches a single item's. *)
           raise exn
     done
   in
+  let wave_ctl (s : Scheduler.scored) =
+    match s.Scheduler.item with
+    | Scheduler.Propagate_step { view; _ } -> Some (find t view).controller
+    | _ -> None
+  in
   let is_wave_head (s : Scheduler.scored) =
-    match (s.Scheduler.item, s.Scheduler.window) with
-    | Scheduler.Propagate_step { view; _ }, Some _ ->
-        Controller.supports_window_step (find t view).controller
+    match (wave_ctl s, s.Scheduler.window) with
+    | Some ctl, Some _ -> Controller.supports_window_step ctl
     | _ -> false
+  in
+  (* Freeze only a caught-up clock. A member's forward query reads base
+     tables as they are now, so its compensation must reach now too: the
+     rule of a marker-committing query, which with [auto_capture] set
+     first brings capture to the end of the log. *)
+  let catch_up wave =
+    if
+      Capture.lag t.capture > 0
+      && List.exists
+           (fun s ->
+             match wave_ctl s with
+             | Some ctl -> (Controller.ctx ctl).Ctx.auto_capture
+             | None -> false)
+           wave
+    then capture_run ~max_records:None
+    else Ok ()
   in
   let body () =
     while !continue && !failure = None && !executed < budget do
       let srcs = sources ~skip ~bg_done:done_bg t in
-      match t.pool with
-      | Some pool -> (
-          let cap = min (Roll_util.Dpool.size pool) (budget - !executed) in
-          match Scheduler.take_wave ~full t.scheduler srcs ~max:(max 1 cap) with
-          | [] -> continue := false
-          | wave when List.for_all is_wave_head wave -> exec_wave pool wave
-          | [ single ] -> (
-              (* Non-propagate head (capture, apply, checkpoint, gc) or a
-                 process without window steps: the legacy serial item. *)
-              match exec_one single with
-              | Ok counts -> if counts then incr executed
-              | Error f -> failure := Some f)
-          | _ -> assert false (* take_wave only builds waves of wave heads *))
-      | None -> (
-          match Scheduler.take_batch ~full t.scheduler srcs with
-          | [] -> continue := false
-          | batch ->
-              (* Same-window sibling steps run back to back so the trailing
-                 ones replay the head's memoized delta; budget and failure
-                 checks still apply per item. *)
-              List.iter
-                (fun (scored : Scheduler.scored) ->
-                  if !failure = None && !executed < budget then
-                    match exec_one scored with
-                    | Ok counts -> if counts then incr executed
-                    | Error f -> failure := Some f)
-                batch)
+      let cap = min (domains t) (budget - !executed) in
+      match Scheduler.take_wave ~full t.scheduler srcs ~max:(max 1 cap) with
+      | [] -> continue := false
+      | wave when List.for_all is_wave_head wave -> (
+          match catch_up wave with
+          | Ok () -> exec_wave wave
+          | Error f -> failure := Some f)
+      | [ single ] -> (
+          (* Non-propagate head (capture, apply, checkpoint, gc) or a
+             process without window steps: one item, run in place. *)
+          match exec_one single with
+          | Ok counts -> if counts then incr executed
+          | Error f -> failure := Some f)
+      | _ -> assert false (* take_wave only builds waves of wave heads *)
     done;
     match !failure with Some f -> Error f | None -> Ok !executed
   in
@@ -813,8 +820,8 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
   end
   else body ()
 
-let plain_capture t () =
-  advance_capture t;
+let plain_capture t ~max_records =
+  Capture.advance ?max_records t.capture;
   Ok ()
 
 let plain_drain ~full t ~budget =
@@ -839,12 +846,14 @@ let reliable_drain ~full ?sleep t ~budget ~retry =
   in
   drain_items ~full t ~budget
     ~step:(fun ctl ->
-      fail ctl (Controller.propagate_step_reliable ctl ~retry ~sleep))
+      fail ctl
+        (Controller.reliable ctl ~retry ~sleep (fun () ->
+             Controller.propagate_step ctl)))
     ~capture_run:(reliable_capture t ~retry ~sleep)
     ~wave_step:(fun ctl ~relation ~hi ~frozen ~sleep ->
       fail ctl
-        (Controller.step_window_reliable ctl ~relation ~hi ~frozen ~retry
-           ~sleep))
+        (Controller.reliable ctl ~retry ~sleep (fun () ->
+             Controller.step_window ctl ~relation ~hi ~frozen)))
     ~apply_sleep:sleep
 
 let step_all t ~budget =

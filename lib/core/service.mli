@@ -93,9 +93,9 @@ val create :
     siblings; hash builds and delta-window materializations shared through
     the build cache), step windows snap to the propagation-interval grid
     (see {!Controller.set_window_alignment}) so sibling windows coincide,
-    and {!Scheduler.Slack} drains batch same-window sibling steps back to
-    back ({!Scheduler.take_batch}). Sharing changes which physical queries
-    run — never the maintained contents.
+    and waves keep same-window sibling steps apart so that they run one
+    after another and replay each other's memoized deltas. Sharing changes
+    which physical queries run — never the maintained contents.
 
     [auxiliary] (default: the [ROLL_AUX] environment flag, off when unset)
     turns on higher-order delta processing: registering a view also
@@ -116,16 +116,17 @@ val create :
     queue-wait attributes), per-kind item-latency, window-width and
     rows-emitted histograms, and every registered view's {!Stats} surface
     as [view]-labeled registry series alongside per-view freshness gauges.
-    [domains] (default 1: the serial drain, byte-for-byte the previous
-    behavior) sizes a worker-domain pool for parallel maintenance. With
-    [domains = n > 1], drains plan {e waves} of up to [n]
-    pairwise-disjoint-window propagation steps ({!Scheduler.take_wave})
-    and execute them concurrently in frozen-clock mode
-    ({!Controller.step_window}), while capture, apply, checkpoint, gc,
-    WAL markers and the retry wall clock stay on the calling (single
-    writer) domain. Parallel drains maintain bit-identical view contents
-    and frontiers to the serial path — only throughput changes. Requires
-    an OCaml 5 runtime.
+    [domains] (default 1: one lane, no worker domain) sizes the drain's
+    worker-domain pool. Every drain plans {e waves} of up to [domains]
+    pairwise-disjoint-window propagation steps of rolling-family views
+    ({!Scheduler.take_wave}) and executes them in frozen-clock mode
+    ({!Controller.step_window}) at the capture high-water mark, after
+    catching capture up to the end of the log; with [domains = n > 1] the
+    members run concurrently. Capture, apply, checkpoint, gc, WAL markers,
+    the retry wall clock and the steps of [Uniform]/[Deferred] views stay
+    on the calling (single-writer) domain. Drains on any number of
+    domains maintain bit-identical view contents and frontiers — only
+    throughput changes.
     @raise Invalid_argument on non-positive [default_sla], [gc_threshold],
     [capture_batch], or [domains < 1]. *)
 
@@ -135,14 +136,15 @@ val env_domains : unit -> int option
     or unparsable. Callers pass it to [create]'s [?domains]. *)
 
 val domains : t -> int
-(** Domain slots drains execute on: 1 for a serial service, the pool size
-    ([workers + caller]) otherwise. *)
+(** Domain slots drains execute on: the pool size ([workers + caller]),
+    1 unless [create] was given [~domains]. *)
 
 val shutdown : t -> unit
-(** Join the worker-domain pool (no-op for a serial service). Idempotent;
+(** Join the worker-domain pool (no-op for a one-lane service). Idempotent;
     the pool also shuts down on process exit, but callers creating many
     short-lived parallel services must release each one to stay under the
-    runtime's domain limit. Draining a shut-down service is an error. *)
+    runtime's domain limit. Draining a shut-down multi-domain service is
+    an error. *)
 
 val register :
   ?durable:bool -> t -> algorithm:Controller.algorithm -> View.t -> Controller.t
@@ -228,7 +230,7 @@ val schedule_json : ?full:bool -> t -> string
 val shard_of : t -> string -> int
 (** The domain slot a view name hashes to — the observational shard used
     by {!shard_depths}; actual wave execution assigns items to slots by
-    wave position. Always 0 for a serial service. *)
+    wave position. Always 0 for a one-lane service. *)
 
 val shard_depths : ?full:bool -> t -> int array
 (** Planned queue depth per domain slot: propagate items counted under
@@ -270,7 +272,7 @@ val try_step_all :
   budget:int ->
   retry:Roll_util.Retry.policy ->
   (int, step_error) result
-(** {!step_all} with each step run under {!Controller.propagate_step_reliable}:
+(** {!step_all} with each step run under {!Controller.reliable}:
     transient step failures are retried with backoff (sleeping through
     [sleep], which defaults to advancing the database's simulated wall
     clock), and the first step to exhaust its retry budget stops the

@@ -341,7 +341,7 @@ let register ?(labels = []) t registry =
     ~help:"Capture items boosted by a deferred propagate step, by kind"
     (fun c -> float_of_int c.backpressured);
   per_sched "roll_sched_batched_total"
-    ~help:"Propagate items executed as batch followers, by kind" (fun c ->
+    ~help:"Propagate items executed as wave followers, by kind" (fun c ->
       float_of_int c.batched);
   per_sched "roll_sched_wall_seconds_total"
     ~help:"Wall-clock seconds executing work items, by kind" (fun c -> c.wall)

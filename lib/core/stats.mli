@@ -38,8 +38,8 @@ type sched_counters = {
       (** capture items boosted to the front of the queue by a deferred
           propagate step *)
   mutable batched : int;
-      (** propagate items executed as followers of a same-window batch
-          (the head item of each batch counts under [ran] only) *)
+      (** propagate items executed as followers in a wave (the head item
+          of each wave counts under [ran] only) *)
   mutable wall : float;  (** total wall-clock seconds executing this kind *)
 }
 

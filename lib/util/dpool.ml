@@ -12,9 +12,8 @@ let require_ocaml5 () =
   if major < 5 then
     failwith
       (Printf.sprintf
-         "rolling_ivm: domain-parallel maintenance needs OCaml >= 5.1 \
-          (running under %s); rebuild with an OCaml 5 switch or run with \
-          domains=1 semantics via the serial entry points"
+         "rolling_ivm: maintenance drains need OCaml >= 5.1 (running \
+          under %s); rebuild with an OCaml 5 switch"
          Sys.ocaml_version)
 
 type mailbox = {
@@ -54,6 +53,21 @@ let worker_loop (box : mailbox) =
   in
   loop ()
 
+(* A one-slot pool has no worker to join, so it stays usable after
+   [shutdown]: [map] runs on the caller alone. *)
+let shutdown t =
+  if t.alive && Array.length t.handles > 0 then begin
+    t.alive <- false;
+    Array.iter
+      (fun box ->
+        Mutex.lock box.mutex;
+        box.stop <- true;
+        Condition.broadcast box.cond;
+        Mutex.unlock box.mutex)
+      t.workers;
+    Array.iter Domain.join t.handles
+  end
+
 let create ?(seed = 0) ~domains () =
   require_ocaml5 ();
   if domains <= 0 then invalid_arg "Dpool.create: domains must be positive";
@@ -72,20 +86,7 @@ let create ?(seed = 0) ~domains () =
     Array.map (fun box -> Domain.spawn (fun () -> worker_loop box)) workers
   in
   let t = { streams; workers; handles; alive = true } in
-  at_exit (fun () ->
-      (* [shutdown] below; referencing it before its definition would need
-         recursion, so inline the guard. *)
-      if t.alive then begin
-        t.alive <- false;
-        Array.iter
-          (fun box ->
-            Mutex.lock box.mutex;
-            box.stop <- true;
-            Condition.broadcast box.cond;
-            Mutex.unlock box.mutex)
-          t.workers;
-        Array.iter Domain.join t.handles
-      end);
+  if domains > 1 then at_exit (fun () -> shutdown t);
   t
 
 let size t = Array.length t.workers + 1
@@ -131,16 +132,3 @@ let map t jobs =
     await t.workers.(w - 1)
   done;
   results
-
-let shutdown t =
-  if t.alive then begin
-    t.alive <- false;
-    Array.iter
-      (fun box ->
-        Mutex.lock box.mutex;
-        box.stop <- true;
-        Condition.broadcast box.cond;
-        Mutex.unlock box.mutex)
-      t.workers;
-    Array.iter Domain.join t.handles
-  end

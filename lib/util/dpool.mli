@@ -38,8 +38,10 @@ val map : t -> (int -> 'a) array -> ('a, exn) result array
     all of them. Jobs assigned to the same slot run sequentially in index
     order; slot-0 jobs run on the caller. A raising job yields [Error]
     in its result cell without disturbing the others.
-    @raise Invalid_argument if called while the pool is shut down. *)
+    @raise Invalid_argument if called after a pool with worker domains
+    was shut down. *)
 
 val shutdown : t -> unit
 (** Join and release the worker domains. Idempotent; the pool also shuts
-    itself down [at_exit]. *)
+    itself down [at_exit]. A one-slot pool has no worker domain, so
+    shutting it down changes nothing and {!map} keeps working. *)

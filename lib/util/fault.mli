@@ -8,7 +8,7 @@
     mid-step (not handled anywhere; the test harness catches it at the top
     and "restarts" from durable state), or {!Transient}, modelling a failed
     maintenance transaction that the retry machinery ({!Retry},
-    [Controller.propagate_step_reliable]) may re-attempt.
+    [Controller.reliable]) may re-attempt.
 
     Determinism: [Crash_at]/[Transient_at] rules fire on exact visit
     indices; the random rules draw from a {!Prng} seeded at {!create}. A

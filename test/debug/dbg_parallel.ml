@@ -1,4 +1,4 @@
-(* Scratch: diff serial vs parallel drain fingerprints for one seed. *)
+(* Debug driver: diff one-lane vs 4-lane drain fingerprints for one seed. *)
 open Test_support.Helpers
 open Roll_relation
 module C = Roll_core
@@ -27,7 +27,7 @@ let run_drain ~seed ~domains =
   let s = three_table () in
   let rng = Prng.create ~seed in
   random_txns rng s 10;
-  let service = C.Service.create ?domains s.db s.capture in
+  let service = C.Service.create ~domains s.db s.capture in
   let reg algo v = C.Service.register ~durable:true service ~algorithm:algo v in
   let abc = reg (C.Controller.Rolling (C.Rolling.uniform 4)) s.view in
   let a1 = reg (C.Controller.Rolling (C.Rolling.uniform 3)) (a_only_view s.db "a_only") in
@@ -75,5 +75,5 @@ let dump tag (s, _, ctls, result) =
 
 let () =
   let seed = int_of_string Sys.argv.(1) in
-  dump "serial" (run_drain ~seed ~domains:None);
-  dump "parallel" (run_drain ~seed ~domains:(Some 4))
+  dump "one-lane" (run_drain ~seed ~domains:1);
+  dump "4-lane" (run_drain ~seed ~domains:4)

@@ -193,7 +193,7 @@ let test_retry_evicts_aborted_entries () =
     (C.Controller.contents ctl)
 
 (* A sharing service keeps sibling twins bit-identical to the oracle while
-   actually sharing work (memo hits recorded during batched drains). *)
+   actually sharing work (memo hits recorded during its drains). *)
 let test_service_sharing_end_to_end () =
   let s = two_table () in
   let siblings =
@@ -226,9 +226,7 @@ let test_service_sharing_end_to_end () =
         (C.View.name v ^ " matches the oracle")
         (C.Oracle.view_at s.history v (C.Controller.as_of ctl))
         (C.Controller.contents ctl))
-    siblings ctls;
-  let batched = (C.Stats.sched_kind (C.Scheduler.stats (C.Service.scheduler service)) "propagate").C.Stats.batched in
-  Alcotest.(check bool) "drains batched same-window steps" true (batched > 0)
+    siblings ctls
 
 let suite =
   [

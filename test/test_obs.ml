@@ -412,6 +412,13 @@ let test_observed_service_drain () =
         Alcotest.failf "compute_delta.node %d outside any propagate.step"
           s.Trace.id)
     (Trace.find trace ~name:"compute_delta.node");
+  (* Wave members trace into forked buffers; absorbing them must land
+     every item under its drain. *)
+  List.iter
+    (fun (s : Trace.span) ->
+      if not (has_ancestor s "service.drain") then
+        Alcotest.failf "sched.item %d outside any service.drain" s.Trace.id)
+    (Trace.find trace ~name:"sched.item");
   (* The advertised metrics: step-latency histograms per item kind and the
      per-view memo hit ratio, exposable as Prometheus text. *)
   let m = Obs.metrics obs in

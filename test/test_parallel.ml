@@ -1,7 +1,7 @@
 (* Multicore maintenance: a service draining through a worker-domain pool
-   must maintain bit-identical state to the serial drain — same view-delta
-   rows, same frontier vectors, same durable frontier markers, same
-   contents vs the oracle — across fault-harness seeds, while the
+   must maintain bit-identical state to the default one-lane service — same
+   view-delta rows, same frontier vectors, same durable frontier markers,
+   same contents vs the oracle — across fault-harness seeds, while the
    domain-safe Stats and Memo structures keep exact totals under
    concurrent hammering. *)
 
@@ -14,9 +14,8 @@ module Retry = Roll_util.Retry
 module Delta = Roll_delta.Delta
 
 (* Pool size for the parallel side: honors ROLL_DOMAINS (the CI matrix
-   runs the suite at 1 and 4) and defaults to 4. At ROLL_DOMAINS=1 the
-   "parallel" side still exercises the whole wave machinery — frozen-clock
-   steps, post-join durability — just with singleton waves. *)
+   runs the suite at 4) and defaults to 4. At ROLL_DOMAINS=1 both sides
+   are the one-lane drain. *)
 let pool_domains =
   match C.Service.env_domains () with Some n -> n | None -> 4
 
@@ -47,9 +46,9 @@ let c_only_view db name =
 
 (* Build a scenario, register the three views durably, inject per-seed
    transient faults, and drain under the retry policy. The transaction
-   stream is a pure function of [seed], so a serial and a parallel run see
-   byte-identical input histories. *)
-let run_drain ~seed ~domains =
+   stream is a pure function of [seed], so a one-lane and a parallel run
+   see byte-identical input histories. *)
+let run_drain ?domains ~seed () =
   let s = three_table () in
   let rng = Prng.create ~seed in
   random_txns rng s 10;
@@ -82,14 +81,12 @@ let run_drain ~seed ~domains =
   (s, service, [ ("abc", abc); ("a_only", a1); ("c_only", c1) ], data_now,
    result)
 
-(* Everything meaningful the drain left behind, per view: the literal
-   view-delta row sequence and the latest durable frontier marker in the
-   WAL. The raw in-memory [tfwd] values are deliberately excluded: each
-   serial physical query commits a marker transaction to obtain its
-   execution time (frozen-mode steps do not), so the two runs' clocks — and
-   the trailing quiet-window frontiers chasing them — legitimately end at
-   different absolute readings. Instead each run asserts it is fully caught
-   up against its own clock. *)
+(* Everything meaningful the drain left behind: the final database clock
+   and, per view, the literal view-delta row sequence, the in-memory
+   frontier vector and the latest durable frontier marker in the WAL. Both
+   sides execute in frozen-clock mode and commit only their frontier
+   markers, so even the absolute clock readings must agree. Each run also
+   asserts it is fully caught up against its clock. *)
 let fingerprint (s, _service, ctls, _data_now, result) =
   match result with
   | Error (e : C.Service.step_error) ->
@@ -97,7 +94,8 @@ let fingerprint (s, _service, ctls, _data_now, result) =
   | Ok _ ->
       let now = Roll_storage.Database.now s.db in
       `Drained
-        (List.map
+        ( now,
+          List.map
            (fun (name, ctl) ->
              let f = C.Controller.frontier ctl in
              Alcotest.(check bool)
@@ -106,14 +104,15 @@ let fingerprint (s, _service, ctls, _data_now, result) =
                (f.C.Frontier.hwm = now
                && Array.for_all (fun t -> t = now) f.C.Frontier.tfwd);
              ( name,
+               f.C.Frontier.tfwd,
                Delta.to_list (C.Controller.ctx ctl).C.Ctx.out,
                C.Frontier.latest (Roll_storage.Database.wal s.db) ~view:name ))
-           ctls)
+           ctls )
 
 let test_bit_identity () =
   for seed = 0 to 99 do
-    let serial = run_drain ~seed ~domains:None in
-    let parallel = run_drain ~seed ~domains:(Some pool_domains) in
+    let serial = run_drain ~seed () in
+    let parallel = run_drain ~domains:pool_domains ~seed () in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: parallel drain bit-identical to serial" seed)
       true
@@ -144,7 +143,7 @@ let test_bit_identity () =
 (* A permanently failing step surfaces the same typed error from both
    drains: same view, same fault point. *)
 let test_permanent_failure_parity () =
-  let fail_one ~domains =
+  let fail_one ?domains () =
     let s = three_table () in
     random_txns (Prng.create ~seed:11) s 20;
     let service = C.Service.create ?domains s.db s.capture in
@@ -172,15 +171,15 @@ let test_permanent_failure_parity () =
   in
   Alcotest.(check (triple string string int))
     "same failure from serial and parallel drains"
-    (fail_one ~domains:None)
-    (fail_one ~domains:(Some pool_domains))
+    (fail_one ())
+    (fail_one ~domains:pool_domains ())
 
 (* The pool actually executes on worker domains: with several views over
    disjoint tables, a multi-domain drain must record propagate items on
    domain slots other than 0. *)
 let test_ran_by_domain () =
   if pool_domains > 1 then begin
-    let _, service, _, _, result = run_drain ~seed:1 ~domains:(Some pool_domains) in
+    let _, service, _, _, result = run_drain ~domains:pool_domains ~seed:1 () in
     (match result with
     | Ok steps -> Alcotest.(check bool) "drained some steps" true (steps > 0)
     | Error e -> Alcotest.failf "unexpected failure at %s" e.C.Service.point);
@@ -194,6 +193,58 @@ let test_ran_by_domain () =
       (Array.length (C.Service.shard_depths service));
     C.Service.shutdown service
   end
+
+(* A wave step that outranks a pending capture advance must not freeze at
+   the stale capture high-water mark: its forward query reads base tables
+   at physical time, so compensation has to reach that time too. After
+   the budgeted drain, the second batch of transactions sits uncaptured
+   in the WAL, and Round_robin picks a step whose window lies below the
+   capture high-water mark ahead of the capture advance. *)
+let test_stale_freeze () =
+  let run ~seed ~domains =
+    let s = two_table () in
+    let service =
+      C.Service.create ~policy:C.Scheduler.Round_robin ~domains s.db s.capture
+    in
+    let ctl =
+      C.Service.register service
+        ~algorithm:(C.Controller.Rolling (C.Rolling.uniform 2))
+        s.view
+    in
+    let rng = Prng.create ~seed in
+    random_txns rng s 30;
+    ignore (C.Service.step_all service ~budget:3);
+    random_txns rng s 30;
+    ignore (C.Service.step_all service ~budget:max_int);
+    let hwm = C.Controller.hwm ctl in
+    C.Controller.refresh_to ctl hwm;
+    Alcotest.(check relation)
+      (Printf.sprintf "seed %d, %d domain(s): contents vs oracle" seed domains)
+      (C.Oracle.view_at s.history s.view hwm)
+      (C.Controller.contents ctl);
+    C.Service.shutdown service
+  in
+  for seed = 0 to 9 do
+    run ~seed ~domains:1;
+    run ~seed ~domains:pool_domains
+  done
+
+(* A commit while a wave runs would fall between the base-table reads and
+   the frozen compensation; the drain refuses to commit such a wave. *)
+let test_commit_during_wave () =
+  let s = two_table () in
+  let service = C.Service.create s.db s.capture in
+  let ctl =
+    C.Service.register service
+      ~algorithm:(C.Controller.Rolling (C.Rolling.uniform 2))
+      s.view
+  in
+  let rng = Prng.create ~seed:3 in
+  random_txns rng s 10;
+  (C.Controller.ctx ctl).C.Ctx.on_execute <- (fun () -> random_txns rng s 1);
+  Alcotest.check_raises "clock moved"
+    (Failure "Service: the database clock moved during a wave") (fun () ->
+      ignore (C.Service.step_all service ~budget:max_int))
 
 (* Stats under concurrent hammering from N domains: every counter lands,
    exact totals. *)
@@ -268,6 +319,10 @@ let suite =
       test_permanent_failure_parity;
     Alcotest.test_case "propagate items run on worker domains" `Quick
       test_ran_by_domain;
+    Alcotest.test_case "waves never freeze at a stale capture clock" `Quick
+      test_stale_freeze;
+    Alcotest.test_case "a commit during a wave fails loudly" `Quick
+      test_commit_during_wave;
     Alcotest.test_case "stats exact totals under 4-domain hammer" `Quick
       test_stats_hammer;
     Alcotest.test_case "memo exact totals and owner-scoped eviction" `Quick
