@@ -358,11 +358,19 @@ let unregister t name =
 (* Scheduler drain                                                     *)
 
 (* Applied view-delta rows: rows at or before the apply position are the
-   only ones gc can reclaim. *)
-let applied_rows (e : entry) =
-  let out = (Controller.ctx e.controller).Ctx.out in
-  Delta.length out
-  - Delta.window_count out ~lo:(Controller.as_of e.controller) ~hi:max_int
+   only ones gc can reclaim. One count on the incrementally caught-up
+   index, so every take can afford it. *)
+let entry_applied_rows (e : entry) =
+  Delta.window_count (Controller.ctx e.controller).Ctx.out ~lo:min_int
+    ~hi:(Controller.as_of e.controller)
+
+let applied_rows t name = entry_applied_rows (find t name)
+
+(* A delta shorter than the threshold cannot hold enough applied rows: the
+   default threshold (max_int) never touches the out-delta at all. *)
+let gc_due t (e : entry) =
+  Delta.length (Controller.ctx e.controller).Ctx.out >= t.gc_threshold
+  && entry_applied_rows e >= t.gc_threshold
 
 let sources ?(skip = fun _ -> false) ?(bg_done = fun _ _ -> false) t =
   let now = Database.now t.db in
@@ -379,8 +387,7 @@ let sources ?(skip = fun _ -> false) ?(bg_done = fun _ _ -> false) t =
           | Some (_, every) -> now - e.last_checkpoint >= every
           | None -> false)
           && not (bg_done "checkpoint" e.name);
-        gc_due =
-          applied_rows e >= t.gc_threshold && not (bg_done "gc" e.name);
+        gc_due = gc_due t e && not (bg_done "gc" e.name);
         aux = Option.is_some e.aux_of;
       })
     t.entries
@@ -607,15 +614,13 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
     let module Dpool = Roll_util.Dpool in
     let frozen = Capture.hwm t.capture in
     let clock = Database.now t.db in
-    (* Pre-build every lazy timestamp index a wave item will read: window
-       reads rebuild stale indexes in place, which is only safe before the
-       workers start sharing the deltas read-only. *)
+    (* Catch every capture delta's timestamp index up before the workers
+       share the deltas read-only: a window read catches a stale index up
+       in place, which is only safe single-threaded. A member reads every
+       source of its view, not only the delta its window rolls. *)
     List.iter
-      (fun (s : Scheduler.scored) ->
-        match s.Scheduler.window with
-        | Some (table, _, _) -> Delta.freshen (Capture.delta t.capture ~table)
-        | None -> ())
-      wave;
+      (fun table -> Delta.freshen (Capture.delta t.capture ~table))
+      (Capture.attached t.capture);
     let items = Array.of_list wave in
     let n = Array.length items in
     let size = Dpool.size t.pool in

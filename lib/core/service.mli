@@ -216,6 +216,13 @@ val set_gc_threshold : t -> int -> unit
 (** Applied delta rows per view above which {!maintain} offers a gc item.
     @raise Invalid_argument on a non-positive threshold. *)
 
+val applied_rows : t -> string -> int
+(** Rows of the view's delta at or before its apply position: what a gc
+    item would reclaim, and the figure {!set_gc_threshold} is compared
+    with. Costs a catch-up of the delta's timestamp index plus two binary
+    searches, never a pass over the delta.
+    @raise Not_found *)
+
 val status : t -> status list
 (** One row per registered view, in registration order. *)
 

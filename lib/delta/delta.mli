@@ -8,8 +8,14 @@
 
     Base-table deltas are appended in commit order, but view deltas are not:
     a compensation query executed late adds rows with old timestamps. The
-    table therefore keeps rows in arrival order and maintains a lazily
-    rebuilt timestamp-sorted index for window queries. *)
+    table therefore keeps rows in arrival order beside a timestamp-sorted
+    index for window queries. The index is incremental: a read first sorts
+    only the rows appended since the previous read and merges them in
+    behind the last indexed row with an earlier or equal timestamp (an
+    in-order tail is a plain append), and {!truncate} trims the index with
+    the rows. Only {!prune} and {!compact}, which renumber the rows, make
+    the next read sort the whole table again. A window count is then two
+    binary searches. *)
 
 type row = { tuple : Roll_relation.Tuple.t; count : int; ts : Time.t }
 
@@ -58,17 +64,22 @@ val window_iter : t -> lo:Time.t -> hi:Time.t -> (row -> unit) -> unit
 val window_cursor : t -> lo:Time.t -> hi:Time.t -> Roll_relation.Cursor.t
 (** σ_{lo,hi}(d) as a lazy pull cursor, in timestamp order — the delta-side
     source of the execution pipeline. Rows are produced on demand; rewinding
-    restarts the window (and picks up a rebuilt index if rows were appended
-    in between). *)
+    restarts the window (and picks up rows appended in between). *)
 
 val window_count : t -> lo:Time.t -> hi:Time.t -> int
 
 val freshen : t -> unit
-(** Rebuild the lazy timestamp index now if it is stale. Window reads
-    normally rebuild it on demand — a read-side mutation that is unsafe
-    under concurrent readers. A parallel drain calls [freshen] on every
-    delta a wave will read {e before} dispatching, after which concurrent
-    window reads are pure (no appends happen mid-wave). *)
+(** Catch the timestamp index up with the rows appended since the last
+    read. Window reads do this on demand — a read-side mutation that is
+    unsafe under concurrent readers. A parallel drain calls [freshen] on
+    every delta a wave will read {e before} dispatching, after which
+    concurrent window reads are pure (no appends happen mid-wave). *)
+
+val full_sorts : unit -> int
+(** Process-wide count of index builds that ordered every row of a delta
+    anew: the first read of a delta, and the first read after a
+    {!prune} or {!compact}. Catching up after appends or a {!truncate}
+    never counts. *)
 
 val net_effect : t -> lo:Time.t -> hi:Time.t -> Roll_relation.Relation.t
 (** φ(σ_{lo,hi}(d)): the window collapsed to net counts. *)

@@ -1,7 +1,7 @@
 (** A blocking line-protocol client for rolld — what [rolld client], the
     CI smoke session and the socket tests script against. *)
 
-type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
+type t = { ic : in_channel; oc : out_channel }
 
 let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -10,7 +10,6 @@ let connect path =
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
   {
-    fd;
     ic = Unix.in_channel_of_descr fd;
     oc = Unix.out_channel_of_descr fd;
   }
@@ -53,7 +52,5 @@ let request_raw t line =
   | exception End_of_file -> Error "connection closed"
   | line -> Protocol.decode_response line
 
-let close t =
-  (try close_out_noerr t.oc with _ -> ());
-  (try close_in_noerr t.ic with _ -> ());
-  try Unix.close t.fd with Unix.Unix_error _ -> ()
+(* [ic] and [oc] share [fd]; closing [oc] closes it, exactly once. *)
+let close t = close_out_noerr t.oc

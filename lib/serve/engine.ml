@@ -20,7 +20,8 @@
     - [t < h]: rejected [gc_horizon] — the applied delta prefix below [h]
       was pruned, the snapshot is gone forever;
     - [t <= hwm]: served immediately from the view delta
-      ({!Roll_core.Controller.view_at}), no maintenance needed;
+      ({!Roll_core.Controller.view_at}, or the last snapshot served for
+      the view rolled to [t]), no maintenance needed;
     - [hwm < t <= now]: {e queued}. The reader blocks until propagation
       rolls the high-water mark past [t]; queued readers are what the
       scheduler's reader boost counts ({!demand} is installed as the
@@ -35,6 +36,8 @@ module Controller = Roll_core.Controller
 module Stats = Roll_core.Stats
 module Database = Roll_storage.Database
 module Relation = Roll_relation.Relation
+module Tuple = Roll_relation.Tuple
+module Delta = Roll_delta.Delta
 module Obs = Roll_obs.Obs
 module Metrics = Roll_obs.Metrics
 
@@ -59,8 +62,10 @@ type t = {
      fixed (view, t) with [t <= hwm] are deterministic — the applied
      delta below the high-water mark is append-only — so bursts of
      clients asking for the same past time re-serve the rows without
-     another {!Controller.view_at} replay. Pump-thread only (like every
-     db touch); entries die when the gc horizon passes their time. *)
+     another {!Controller.view_at} replay, and a read at another time
+     rolls the cached rows by the view delta in between. Pump-thread
+     only (like every db touch); entries die when the gc horizon passes
+     their time. *)
   snapshots : (string, Roll_delta.Time.t * (Roll_relation.Tuple.t * int) list) Hashtbl.t;
   mutable snapshot_hits : int;
 }
@@ -179,19 +184,54 @@ let observe_read t ~view ~wait ~staleness =
       (float_of_int staleness)
   end
 
+(* [rows] plus [changes], both sorted by tuple: counts of equal tuples
+   add up, and tuples whose count reaches zero drop out. Every row gets a
+   fresh pair, so a snapshot's rows become garbage together. Pairs shared
+   from one snapshot to the next would stay scattered over many partly
+   live heap pools: on chain_stream that raised the peak heap by a
+   third. *)
+let merge_rows rows changes =
+  let rec go acc rows changes =
+    match (rows, changes) with
+    | [], [] -> List.rev acc
+    | (a, m) :: rows', [] -> go ((a, m) :: acc) rows' []
+    | [], c :: changes' -> go (c :: acc) [] changes'
+    | (a, m) :: rows', ((b, n) as c) :: changes' ->
+        let k = Tuple.compare a b in
+        if k < 0 then go ((a, m) :: acc) rows' changes
+        else if k > 0 then go (c :: acc) rows changes'
+        else go (if m + n = 0 then acc else (a, m + n) :: acc) rows' changes'
+  in
+  go [] rows changes
+
+(* The rows at [time], rolled from the snapshot served at [at]: the view
+   delta between the two times, netted and sorted, merges into the cached
+   rows. That is one pass over the view instead of a copy of it and a
+   full sort, and it serves the same rows as {!Controller.view_at}. *)
+let roll_rows out ~at rows ~time =
+  let changes =
+    Relation.to_list (Delta.net_effect out ~lo:(min at time) ~hi:(max at time))
+  in
+  merge_rows rows
+    (if time > at then changes else List.map (fun (x, n) -> (x, -n)) changes)
+
 let snapshot_rows t ~view ~ctl ~time =
+  let horizon = Controller.horizon ctl in
   match Hashtbl.find_opt t.snapshots view with
-  | Some (at, rows) when at = time && at >= Controller.horizon ctl ->
+  | Some (at, rows) when at = time && at >= horizon ->
       t.snapshot_hits <- t.snapshot_hits + 1;
       rows
   | cached ->
-      (* A cached time the horizon has passed is unservable anyway —
-         drop it rather than hold pruned history alive. *)
-      (match cached with
-      | Some (at, _) when at < Controller.horizon ctl ->
-          Hashtbl.remove t.snapshots view
-      | _ -> ());
-      let rows = Relation.to_list (Controller.view_at ctl time) in
+      let out = (Controller.ctx ctl).Roll_core.Ctx.out in
+      let rows =
+        match cached with
+        | Some (at, rows)
+          when at >= horizon
+               && Delta.window_count out ~lo:(min at time) ~hi:(max at time)
+                  <= List.length rows ->
+            roll_rows out ~at rows ~time
+        | _ -> Relation.to_list (Controller.view_at ctl time)
+      in
       Hashtbl.replace t.snapshots view (time, rows);
       rows
 

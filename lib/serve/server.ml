@@ -72,8 +72,10 @@ let handle_conn t fd =
   in
   (try loop () with Unix.Unix_error _ -> ());
   unregister_conn t id;
-  (try close_in_noerr ic with _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  (* Both channels share [fd]: close it exactly once, through [oc] (which
+     also drops [oc] from the exit-time flush list). A second close could
+     hit a descriptor another connection has been handed since. *)
+  close_out_noerr oc
 
 (* Poll with a select timeout rather than blocking in accept: closing the
    listener from the engine thread does not reliably wake a thread already

@@ -202,7 +202,7 @@ let prop_compact_preserves_windows =
       !ok)
 
 (* A shared window cursor outlives the drain that built it: rewinding after
-   concurrent appends must restart over the delta's rebuilt index, seeing
+   concurrent appends must restart over the delta's caught-up index, seeing
    rows that landed (inside the window, out of timestamp order) after the
    first drain. *)
 let test_window_cursor_rewind_after_append () =
@@ -219,6 +219,125 @@ let test_window_cursor_rewind_after_append () =
   Cursor.rewind c;
   Alcotest.(check (list int)) "rewind is repeatable" [ 2; 3; 5 ] (ts_seen ())
 
+(* The timestamp index is caught up incrementally: a read sorts only the
+   rows appended since the previous one and merges them in, [truncate]
+   trims it, and [prune]/[compact] reset it. Under any interleaving of
+   those with reads, every read must agree with a fresh stable sort
+   of the arrival-order rows by timestamp. Appends are not followed by a
+   check, so the tails that reads merge in are several rows long. *)
+type index_op =
+  | Append_next of int * int * int  (** key, count, ts gap after the last row *)
+  | Append_at of int * int * int  (** key, count, ts *)
+  | Truncate of int  (** rows to drop from the end *)
+  | Prune of int
+  | Compact
+  | Read of int * int
+
+let pp_index_op = function
+  | Append_next (k, c, g) -> Printf.sprintf "next(%d,%+d,+%d)" k c g
+  | Append_at (k, c, t) -> Printf.sprintf "at(%d,%+d,@%d)" k c t
+  | Truncate n -> Printf.sprintf "truncate-%d" n
+  | Prune t -> Printf.sprintf "prune<=%d" t
+  | Compact -> "compact"
+  | Read (lo, hi) -> Printf.sprintf "read(%d,%d]" lo hi
+
+let index_ops_arb =
+  let open QCheck.Gen in
+  let key = int_range 0 3 and count = int_range (-2) 2 in
+  let op =
+    frequency
+      [
+        (6, map3 (fun k c g -> Append_next (k, c, g)) key count (int_range 0 2));
+        (3, map3 (fun k c t -> Append_at (k, c, t)) key count (int_range 1 25));
+        (1, map (fun n -> Truncate n) (int_range 0 4));
+        (1, map (fun t -> Prune t) (int_range 0 25));
+        (1, return Compact);
+        (3, map2 (fun lo w -> Read (lo, lo + w)) (int_range 0 25) (int_range 0 10));
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_index_op ops))
+    (list_size (0 -- 80) op)
+
+let prop_incremental_index =
+  QCheck.Test.make ~name:"incremental index = fresh stable sort" ~count:300
+    index_ops_arb (fun ops ->
+      let d = Delta.create schema in
+      let key (r : Delta.row) = (Tuple.hash r.tuple, r.count, r.ts) in
+      let cursor_key (r : Cursor.row) = (Tuple.hash r.tuple, r.count, r.ts) in
+      let cursor = Delta.window_cursor d ~lo:3 ~hi:18 in
+      let last_ts () =
+        match List.rev (Delta.to_list d) with [] -> 0 | r :: _ -> r.Delta.ts
+      in
+      let check () =
+        let sorted =
+          List.stable_sort
+            (fun (a : Delta.row) (b : Delta.row) -> Int.compare a.ts b.ts)
+            (Delta.to_list d)
+        in
+        let expect lo hi =
+          List.filter (fun (r : Delta.row) -> lo < r.ts && r.ts <= hi) sorted
+        in
+        let window_ok (lo, hi) =
+          let want = expect lo hi in
+          List.map key (Delta.window d ~lo ~hi) = List.map key want
+          && Delta.window_count d ~lo ~hi = List.length want
+        in
+        let bounds = [ -1; 0; 3; 7; 12; 18; 25; 40 ] in
+        List.for_all
+          (fun lo ->
+            List.for_all (fun hi -> window_ok (lo, hi)) bounds)
+          bounds
+        && window_ok (min_int, max_int)
+        && (Cursor.rewind cursor;
+            List.map cursor_key (Cursor.to_list cursor)
+            = List.map key (expect 3 18))
+        && Delta.min_ts d
+           = (match sorted with [] -> None | r :: _ -> Some r.ts)
+        && Delta.max_ts d
+           = (match List.rev sorted with [] -> None | r :: _ -> Some r.ts)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Append_next (k, count, gap) ->
+              Delta.append d (Tuple.ints [ k ]) ~count ~ts:(last_ts () + gap)
+          | Append_at (k, count, ts) -> Delta.append d (Tuple.ints [ k ]) ~count ~ts
+          | Truncate n -> Delta.truncate d (max 0 (Delta.length d - n))
+          | Prune upto -> ignore (Delta.prune d ~upto)
+          | Compact -> ignore (Delta.compact d)
+          | Read (lo, hi) -> ignore (Delta.window_count d ~lo ~hi));
+          match op with Append_next _ | Append_at _ -> true | _ -> check ())
+        ops
+      && check ())
+
+(* Appends in timestamp order never sort, and merging an out-of-order tail
+   sorts only the tail: no read after the first one sorts the whole
+   delta, however long it grows. *)
+let test_index_sorts_only_tails () =
+  let d = Delta.create schema in
+  let before = Delta.full_sorts () in
+  Delta.append d (Tuple.ints [ 0 ]) ~count:1 ~ts:1;
+  ignore (Delta.window_count d ~lo:0 ~hi:1);
+  Alcotest.(check int) "the first read builds the index" 1
+    (Delta.full_sorts () - before);
+  let before = Delta.full_sorts () in
+  for ts = 2 to 1000 do
+    Delta.append d (Tuple.ints [ ts mod 4 ]) ~count:1 ~ts;
+    (* A late row, as a compensation query emits, every few appends. *)
+    if ts mod 7 = 0 then Delta.append d (Tuple.ints [ 0 ]) ~count:1 ~ts:(ts - 5);
+    if ts mod 3 = 0 then ignore (Delta.window_count d ~lo:0 ~hi:ts)
+  done;
+  Alcotest.(check int) "no full sorts while appending and reading" 0
+    (Delta.full_sorts () - before);
+  Delta.truncate d 500;
+  ignore (Delta.window_count d ~lo:0 ~hi:2000);
+  Alcotest.(check int) "truncate trims, it does not re-sort" 0
+    (Delta.full_sorts () - before);
+  ignore (Delta.compact d);
+  ignore (Delta.window_count d ~lo:0 ~hi:2000);
+  Alcotest.(check int) "compact re-sorts once" 1 (Delta.full_sorts () - before)
+
 let suite =
   suite
   @ [
@@ -226,4 +345,7 @@ let suite =
       qtest prop_compact_preserves_windows;
       Alcotest.test_case "window cursor rewind after appends" `Quick
         test_window_cursor_rewind_after_append;
+      qtest prop_incremental_index;
+      Alcotest.test_case "index sorts only appended tails" `Quick
+        test_index_sorts_only_tails;
     ]

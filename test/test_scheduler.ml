@@ -299,6 +299,115 @@ let test_sla_and_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* gc_due counts applied rows with one lookup on the caught-up timestamp
+   index. Stepped one item at a time through propagate steps that fail
+   after emitting part of their brick (rolled back by [Delta.truncate] and
+   retried), applies and gc prunes, that count must equal the old formula
+   (length minus the rows past the apply position) and a plain scan. *)
+let test_applied_rows_tracks_formula () =
+  let s = two_table () in
+  let service = C.Service.create s.db s.capture in
+  C.Service.set_gc_threshold service 4;
+  let ctl =
+    C.Service.register service
+      ~algorithm:(C.Controller.Rolling (C.Rolling.uniform 3))
+      s.view
+  in
+  let ctx = C.Controller.ctx ctl in
+  ctx.C.Ctx.fault <-
+    Fault.create
+      ~rules:
+        (List.map
+           (fun first ->
+             Fault.Transient_at
+               { point = "rolling.post_forward"; first; failures = 2 })
+           [ 2; 7; 13; 20; 31 ])
+      ();
+  let retry = Roll_util.Retry.policy ~max_attempts:5 () in
+  let rng = Prng.create ~seed:617 in
+  let items = ref 0 in
+  let check () =
+    let out = ctx.C.Ctx.out and as_of = C.Controller.as_of ctl in
+    let formula =
+      Delta.length out - Delta.window_count out ~lo:as_of ~hi:max_int
+    in
+    let scanned = ref 0 in
+    Delta.iter
+      (fun (r : Delta.row) -> if r.ts <= as_of then incr scanned)
+      out;
+    let applied = C.Service.applied_rows service "rs" in
+    Alcotest.(check int)
+      (Printf.sprintf "item %d: applied rows = old formula" !items)
+      formula applied;
+    Alcotest.(check int)
+      (Printf.sprintf "item %d: applied rows = scan" !items)
+      !scanned applied
+  in
+  for _round = 1 to 4 do
+    random_txns rng s 12;
+    let rec drain () =
+      match C.Service.maintain ~retry ~sleep:ignore service ~budget:1 with
+      | Ok 0 -> ()
+      | Ok _ ->
+          incr items;
+          check ();
+          drain ()
+      | Error (e : C.Service.step_error) ->
+          Alcotest.failf "maintain failed: %s at %s" e.view e.point
+    in
+    drain ()
+  done;
+  Alcotest.(check bool) "steps were rolled back and retried" true
+    (C.Stats.retries (C.Controller.stats ctl) > 0);
+  Alcotest.(check bool) "gc ran" true ((sched_counter service "gc").C.Stats.ran > 0);
+  Alcotest.check relation "contents vs oracle"
+    (C.Oracle.view_at s.history s.view (C.Controller.as_of ctl))
+    (C.Controller.contents ctl)
+
+(* The drain's bookkeeping reads the view delta (and every capture delta)
+   after each step. Those reads catch the timestamp index up with the new
+   rows instead of re-sorting it, so the number of whole-delta sorts a star
+   drain makes does not grow with the backlog. *)
+let star_drain_full_sorts backlog =
+  let module W = Roll_workload in
+  let star =
+    W.Star.create
+      { W.Star.default_config with fact_initial = 1_000; dim_size = 50; seed = 3 }
+  in
+  W.Star.load_initial star;
+  let service =
+    C.Service.create ~default_sla:50 (W.Star.db star) (W.Star.capture star)
+  in
+  let ctl =
+    C.Service.register service
+      ~algorithm:(C.Controller.Rolling (C.Rolling.per_relation [| 16; 64; 64 |]))
+      (W.Star.view star)
+  in
+  W.Star.mixed_txns star ~n:backlog ~dim_fraction:0.05;
+  let before = Delta.full_sorts () in
+  let steps = ref 0 in
+  let rec drain () =
+    let n = C.Service.step_all service ~budget:8 in
+    steps := !steps + n;
+    if n > 0 then drain ()
+  in
+  drain ();
+  Alcotest.(check int)
+    (Printf.sprintf "backlog %d drained" backlog)
+    (Roll_storage.Database.now (W.Star.db star))
+    (C.Controller.hwm ctl);
+  (Delta.full_sorts () - before, !steps)
+
+let test_star_drain_sorts_flat () =
+  let sorts_small, steps_small = star_drain_full_sorts 60 in
+  let sorts_large, steps_large = star_drain_full_sorts 240 in
+  Alcotest.(check bool) "the larger drain takes more steps" true
+    (steps_large > 2 * steps_small);
+  Alcotest.(check int) "full sorts do not grow with the backlog" sorts_small
+    sorts_large;
+  Alcotest.(check bool) "at most one full sort per delta" true
+    (sorts_large <= 4)
+
 let suite =
   [
     Alcotest.test_case "backpressure defers and boosts" `Quick test_backpressure;
@@ -315,4 +424,8 @@ let suite =
     Alcotest.test_case "maintain full drain" `Quick test_maintain_full_drain;
     Alcotest.test_case "pause, crash, recover" `Quick test_pause_crash_recover;
     Alcotest.test_case "sla and validation" `Quick test_sla_and_validation;
+    Alcotest.test_case "gc_due's applied count tracks the old formula" `Quick
+      test_applied_rows_tracks_formula;
+    Alcotest.test_case "star drain: full index sorts stay flat" `Quick
+      test_star_drain_sorts_flat;
   ]

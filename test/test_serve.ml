@@ -320,6 +320,43 @@ let test_snapshot_memo () =
     (S.Engine.snapshot_memo_hits engine);
   C.Service.shutdown service
 
+(* A read at a new time rolls the previous snapshot by the view delta in
+   between instead of replaying the view from its stored contents. Over
+   many reads at random admitted times, forward and backward, with commits,
+   maintenance and gc prunes between them, every served snapshot must still
+   be the oracle's. *)
+let test_rolled_snapshots_match_oracle () =
+  let s, service, ctl, engine = serve_scenario ~gc_threshold:40 () in
+  let rng = Prng.create ~seed:613 in
+  let horizon0 = C.Controller.horizon ctl in
+  for round = 1 to 60 do
+    random_txns rng s (Prng.int rng 4);
+    (match C.Service.maintain service ~budget:(1 + Prng.int rng 6) with
+    | Ok _ -> ()
+    | Error (e : C.Service.step_error) ->
+        Alcotest.failf "maintain failed: %s at %s" e.view e.point);
+    let horizon = C.Controller.horizon ctl and hwm = C.Controller.hwm ctl in
+    for _ = 1 to 3 do
+      let request =
+        if Prng.int rng 5 = 0 then P.Read_fresh "rs"
+        else
+          P.Read_at
+            { view = "rs"; time = horizon + Prng.int rng (hwm - horizon + 1) }
+      in
+      let ticket = S.Engine.submit engine request in
+      ignore (S.Engine.pump engine);
+      match S.Engine.poll ticket with
+      | Some (P.Rows { at; rows; _ }) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "round %d: rows at %d = oracle" round at)
+            true
+            (rows = oracle_rows s at)
+      | _ -> Alcotest.failf "round %d: an admitted read was not served" round
+    done
+  done;
+  Alcotest.(check bool) "gc pruned under the reads" true
+    (C.Controller.horizon ctl > horizon0)
+
 let test_gc_horizon_reject () =
   let s, service, ctl, engine = serve_scenario ~gc_threshold:1 () in
   random_txns (Prng.create ~seed:603) s 30;
@@ -523,6 +560,65 @@ let test_socket_session () =
   S.Client.close conn2;
   C.Service.shutdown service
 
+(* Connection churn: each connection's descriptor is closed exactly once
+   on both ends. A second close of a number the kernel has since handed to
+   another connection would cut that connection off, so a long-lived
+   session must keep answering STATUS while 200 short sessions connect,
+   QUIT and disconnect beside it. *)
+let test_connection_churn () =
+  let s = two_table () in
+  let service = C.Service.create s.db s.capture in
+  let _ctl =
+    C.Service.register service
+      ~algorithm:(C.Controller.Rolling (C.Rolling.uniform 3))
+      s.view
+  in
+  random_txns (Prng.create ~seed:611) s 10;
+  let engine = S.Engine.create s.db service in
+  let socket = Filename.temp_file "rolld_churn" ".sock" in
+  Sys.remove socket;
+  let tick () =
+    match C.Service.maintain service ~budget:64 with Ok _ | Error _ -> ()
+  in
+  let server = S.Server.start ~tick ~socket engine in
+  let status conn =
+    match S.Client.request conn P.Status with
+    | Ok (P.Status_report _) -> true
+    | _ | (exception (Sys_error _ | Unix.Unix_error _ | End_of_file)) -> false
+  in
+  let long = S.Client.connect_retry socket in
+  Alcotest.(check bool) "long-lived session answers before the churn" true
+    (status long);
+  let failures = Atomic.make 0 and finished = Atomic.make false in
+  let churn () =
+    for _ = 1 to 200 do
+      match S.Client.connect_retry socket with
+      | exception Unix.Unix_error _ -> Atomic.incr failures
+      | conn ->
+          (match S.Client.request conn P.Quit with
+          | Ok P.Bye -> ()
+          | _ | (exception (Sys_error _ | Unix.Unix_error _ | End_of_file)) ->
+              Atomic.incr failures);
+          S.Client.close conn
+    done;
+    Atomic.set finished true
+  in
+  let churner = Thread.create churn () in
+  let lost = ref 0 in
+  while not (Atomic.get finished) do
+    if not (status long) then incr lost
+  done;
+  Thread.join churner;
+  Alcotest.(check int) "every short session got bye" 0 (Atomic.get failures);
+  Alcotest.(check int) "no STATUS lost during the churn" 0 !lost;
+  Alcotest.(check bool) "long-lived session answers after the churn" true
+    (status long);
+  Alcotest.(check bool) "shutdown gets bye" true
+    (S.Client.request long P.Shutdown = Ok P.Bye);
+  S.Server.wait server;
+  S.Client.close long;
+  C.Service.shutdown service
+
 let suite =
   [
     Alcotest.test_case "request round-trip and goldens" `Quick
@@ -538,6 +634,8 @@ let suite =
     Alcotest.test_case "read wait runs on the obs clock" `Quick
       test_wait_on_obs_clock;
     Alcotest.test_case "gc horizon rejection" `Quick test_gc_horizon_reject;
+    Alcotest.test_case "rolled snapshots match the oracle" `Quick
+      test_rolled_snapshots_match_oracle;
     Alcotest.test_case "snapshot memo serves repeats and evicts at the horizon"
       `Quick test_snapshot_memo;
     Alcotest.test_case "overload and shutdown shedding" `Quick
@@ -545,4 +643,6 @@ let suite =
     Alcotest.test_case "reads match the oracle (seeds 0-99, 1 and N domains)"
       `Slow test_reads_match_oracle;
     Alcotest.test_case "socket session end to end" `Quick test_socket_session;
+    Alcotest.test_case "connection churn beside a long-lived session" `Quick
+      test_connection_churn;
   ]
